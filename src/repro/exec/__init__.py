@@ -20,15 +20,15 @@ contractually equivalent: for deterministic work they produce byte-identical
 results, a property the test suite locks in across both consumers.
 
 ``NodeBackend`` / ``NodeActorGroup`` (:mod:`repro.exec.node`) are exported
-lazily: the node backend depends on the streaming wire codec, and importing
-it eagerly here would cycle through ``repro.streaming`` → ``repro.exec``
-during package init.
+lazily.  ``NodeActorGroup`` is the one cross-process actor transport: the
+``process`` backend starts its actors on it too.  The node module depends
+on the streaming wire codec, and importing it eagerly here would cycle
+through ``repro.streaming`` → ``repro.exec`` during package init.
 """
 
 from .actors import (
     ActorCrash,
     ActorGroup,
-    ProcessActorGroup,
     SerialActorGroup,
     ThreadActorGroup,
 )
@@ -50,7 +50,6 @@ __all__ = [
     "ExecutionBackend",
     "NodeActorGroup",
     "NodeBackend",
-    "ProcessActorGroup",
     "ProcessBackend",
     "SerialActorGroup",
     "SerialBackend",

@@ -4,8 +4,8 @@ The streaming hub needs something a task pool cannot give it: workers that
 *own mutable state* (a shard's device streams) for the lifetime of the hub,
 process messages strictly in order, and stream events (finalised segments,
 device failures) back to the parent as they happen.  An
-:class:`ActorGroup` provides exactly that, with one implementation per
-execution backend:
+:class:`ActorGroup` provides exactly that.  The in-process groups live
+here:
 
 ``SerialActorGroup``
     Handlers live in the caller; ``tell``/``ask`` dispatch inline and
@@ -14,11 +14,12 @@ execution backend:
     One worker thread + FIFO queue per actor.  Handlers still share the
     caller's memory (``local_handlers``), but only their own thread touches
     them between barriers — single-owner state, no locks in handler code.
-``ProcessActorGroup``
-    One worker process + duplex pipe per actor; a parent-side router thread
-    multiplexes replies and events.  Messages, replies and events must be
-    picklable; exceptions are reduced to ``(type name, message)`` and
-    revived by name on the parent side.
+
+Actors in other processes (the ``process`` and ``node`` backends) run on
+:class:`~repro.exec.node.NodeActorGroup`, one socket-connected worker
+process per actor.  Messages, replies and events must be picklable there;
+exceptions are reduced to ``(type name, message)`` and revived by name on
+the parent side (:func:`_revive_exception`).
 
 The handler contract is deliberately tiny: ``factory(emit) -> handler``
 builds the handler inside its worker, ``handler.handle(message) -> reply``
@@ -40,11 +41,8 @@ from __future__ import annotations
 
 import builtins
 import itertools
-import multiprocessing
 import threading
 from dataclasses import dataclass
-from multiprocessing.connection import Connection
-from multiprocessing.connection import wait as _connection_wait
 from types import TracebackType
 from typing import Callable, Sequence
 
@@ -56,25 +54,15 @@ __all__ = [
     "ActorGroup",
     "SerialActorGroup",
     "ThreadActorGroup",
-    "ProcessActorGroup",
 ]
 
 _BARRIER = "__barrier__"
 _STOP = "__stop__"
 
-_CTL = "__repro.exec.control__"
-_STOP_MSG = (_CTL, "stop")
-_BARRIER_MSG = (_CTL, "barrier")
-"""Control messages crossing the process boundary travel as namespaced
-tagged tuples: identity comparison does not survive pickling, and matching
-bare strings with ``==`` would hijack legitimate string messages (the
-in-process groups use the ``_STOP``/``_BARRIER`` sentinel objects with
-``is``)."""
-
 _MAILBOX_CAPACITY = 128
 """Bound on a thread actor's queued messages.  A full mailbox blocks the
 producer (``tell`` waits), so a fast producer cannot balloon hub memory to
-O(points) — the backpressure the process backend gets from its pipe buffer.
+O(points) — the backpressure the socket groups get from their send buffers.
 """
 
 
@@ -134,10 +122,7 @@ class _PendingSlot:
 
 
 class ActorGroup:
-    """Common bookkeeping for the three actor-group implementations."""
-
-    #: Name of the backend that spawned this group.
-    backend_name: str = "serial"
+    """Common bookkeeping for every actor-group implementation."""
 
     def __init__(self, n_actors: int) -> None:
         if n_actors < 1:
@@ -172,7 +157,7 @@ class ActorGroup:
     @property
     def local_handlers(self) -> list | None:
         """The live handler objects when they share the caller's memory
-        (serial and thread groups); ``None`` for process groups.  Thread
+        (serial and thread groups); ``None`` for socket groups.  Thread
         groups barrier first, so the handlers are quiescent."""
         return None
 
@@ -231,8 +216,6 @@ class ActorGroup:
 class SerialActorGroup(ActorGroup):
     """Inline dispatch: the reference implementation of the protocol."""
 
-    backend_name = "serial"
-
     def __init__(
         self,
         factories: Sequence[Callable],
@@ -287,8 +270,6 @@ class SerialActorGroup(ActorGroup):
 
 class ThreadActorGroup(ActorGroup):
     """One worker thread per actor; handlers share the caller's memory."""
-
-    backend_name = "thread"
 
     def __init__(
         self,
@@ -430,230 +411,4 @@ class ThreadActorGroup(ActorGroup):
             queue_.put((None, _STOP))
         for thread in self._threads:
             thread.join(timeout=30.0)
-        self.raise_crashes()
-
-
-def _actor_process_main(factory: Callable, conn: Connection) -> None:
-    """Entry point of one actor worker process."""
-
-    def emit(event: object) -> None:
-        conn.send(("event", event))
-
-    try:
-        handler = factory(emit)
-    except Exception as error:  # noqa: BLE001 — surfaced as a crash
-        handler = None
-        conn.send(("crash", (type(error).__name__, str(error))))
-    while True:
-        try:
-            token, message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if isinstance(message, tuple) and len(message) == 2 and message[0] == _CTL:
-            if message[1] == "stop":
-                break
-            conn.send(("reply", token, True, None))
-            continue
-        if handler is None:
-            info = ("ExecutionError", "actor failed to initialise")
-            conn.send(("crash", info) if token is None else ("reply", token, False, info))
-            continue
-        try:
-            reply = handler.handle(message)
-        except Exception as error:  # noqa: BLE001 — shipped to the caller
-            info = (type(error).__name__, str(error))
-            conn.send(("crash", info) if token is None else ("reply", token, False, info))
-        else:
-            if token is None:
-                continue
-            try:
-                conn.send(("reply", token, True, reply))
-            except Exception as error:  # noqa: BLE001 — unpicklable reply
-                conn.send(
-                    ("reply", token, False, ("ExecutionError", f"reply not sendable: {error}"))
-                )
-    conn.close()
-
-
-class ProcessActorGroup(ActorGroup):
-    """One worker process per actor, multiplexed by a parent router thread."""
-
-    backend_name = "process"
-
-    def __init__(
-        self,
-        factories: Sequence[Callable],
-        *,
-        on_event: Callable[[int, object], None] | None = None,
-    ) -> None:
-        super().__init__(len(factories))
-        self._on_event = on_event
-        self._event_lock = threading.Lock()
-        self._pending_lock = threading.Lock()
-        self._pending: dict[int, _PendingSlot] = {}
-        self._tokens = itertools.count()
-        self._dead: set[int] = set()
-        self._closing = False
-        context = multiprocessing.get_context()
-        self._conns: list[Connection] = []
-        self._processes = []
-        for factory in factories:
-            parent_conn, child_conn = context.Pipe(duplex=True)
-            process = context.Process(
-                target=_actor_process_main, args=(factory, child_conn), daemon=True
-            )
-            process.start()
-            child_conn.close()
-            self._conns.append(parent_conn)
-            self._processes.append(process)
-        self._conn_index = {conn: index for index, conn in enumerate(self._conns)}
-        self._router_stop = threading.Event()
-        self._router = threading.Thread(
-            target=self._route, name="repro-actor-router", daemon=True
-        )
-        self._router.start()
-
-    # -- router thread --------------------------------------------------- #
-    def _route(self) -> None:
-        live = list(self._conns)
-        while live and not self._router_stop.is_set():
-            for conn in _connection_wait(live, timeout=0.05):
-                index = self._conn_index[conn]
-                try:
-                    payload = conn.recv()
-                except (EOFError, OSError):
-                    live.remove(conn)
-                    self._mark_dead(index)
-                    continue
-                except Exception as error:  # noqa: BLE001 — e.g. a payload
-                    # that unpickles only in the worker.  The router must
-                    # survive (its death would hang every pending ask), and
-                    # the lost payload may have been someone's reply — fail
-                    # the actor over instead of guessing.
-                    live.remove(conn)
-                    with self._pending_lock:
-                        self.crashes.append(
-                            ActorCrash(index, type(error).__name__, str(error))
-                        )
-                    self._mark_dead(index)
-                    continue
-                kind = payload[0]
-                if kind == "event":
-                    if self._on_event is not None:
-                        with self._event_lock:
-                            try:
-                                self._on_event(index, payload[1])
-                            except Exception as error:  # noqa: BLE001
-                                # The router must survive a broken event
-                                # callback — its death would deadlock every
-                                # pending and future ask.
-                                with self._pending_lock:
-                                    self.crashes.append(
-                                        ActorCrash(
-                                            index, type(error).__name__, str(error)
-                                        )
-                                    )
-                elif kind == "reply":
-                    _, token, ok, value = payload
-                    if not ok:
-                        value = _revive_exception(*value)
-                    self._resolve(token, ok, value)
-                elif kind == "crash":
-                    error_type, message = payload[1]
-                    with self._pending_lock:
-                        self.crashes.append(ActorCrash(index, error_type, message))
-
-    def _mark_dead(self, index: int) -> None:
-        """Fail every pending ask so a dead worker never deadlocks callers."""
-        self._dead.add(index)
-        error = ExecutionError(f"actor {index} worker process died")
-        with self._pending_lock:
-            if not self._closing:  # EOF during close is a normal shutdown
-                self.crashes.append(ActorCrash(index, "ExecutionError", str(error)))
-            slots = [slot for slot in self._pending.values() if slot.actor == index]
-        for slot in slots:
-            slot.resolve(False, error)
-
-    def _resolve(self, token: int, ok: bool, value: object) -> None:
-        with self._pending_lock:
-            slot = self._pending.get(token)
-        if slot is None:  # already failed over by _mark_dead
-            return
-        slot.resolve(ok, value)
-
-    # -- caller side ----------------------------------------------------- #
-    def _send(self, actor: int, token: int | None, message: object) -> None:
-        if actor in self._dead:
-            raise ExecutionError(f"actor {actor} worker process died")
-        try:
-            self._conns[actor].send((token, message))
-        except (OSError, BrokenPipeError) as error:
-            self._mark_dead(actor)
-            raise ExecutionError(f"actor {actor} is unreachable: {error}") from error
-
-    def tell(self, actor: int, message: object) -> None:
-        self._check_actor(actor)
-        self._send(actor, None, message)
-
-    def _ask_raw(self, actor: int, message: object) -> object:
-        token = next(self._tokens)
-        slot = _PendingSlot(actor)
-        with self._pending_lock:
-            self._pending[token] = slot
-        try:
-            self._send(actor, token, message)
-        except BaseException:
-            # Includes pickling errors from conn.send (unpicklable message):
-            # the slot must not outlive the failed send.
-            with self._pending_lock:
-                del self._pending[token]
-            raise
-        slot.event.wait()
-        with self._pending_lock:
-            del self._pending[token]
-        return slot.result()
-
-    def ask(self, actor: int, message: object) -> object:
-        self._check_actor(actor)
-        return self._ask_raw(actor, message)
-
-    def barrier(self) -> None:
-        if self._closed:
-            raise ExecutionError("actor group is closed")
-        for actor in range(self.n_actors):
-            if actor in self._dead:
-                continue
-            self._ask_raw(actor, _BARRIER_MSG)
-        self.raise_crashes()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._closing = True
-        for actor, conn in enumerate(self._conns):
-            if actor in self._dead:
-                continue
-            try:
-                conn.send((None, _STOP_MSG))
-            except (OSError, BrokenPipeError):
-                pass
-        for process in self._processes:
-            process.join(timeout=30.0)
-            if process.is_alive():  # pragma: no cover — defensive teardown
-                process.terminate()
-                process.join(timeout=5.0)
-        # Let the router drain every pipe to EOF before it stops: events
-        # (and crash reports) the workers sent just before exiting are still
-        # buffered, and dropping them would lose finalised segments at the
-        # hub's sinks.  The stop flag is only a fallback for a router wedged
-        # on a connection that never reaches EOF.
-        self._router.join(timeout=30.0)
-        if self._router.is_alive():  # pragma: no cover — defensive teardown
-            self._router_stop.set()
-            self._router.join(timeout=5.0)
-        for conn in self._conns:
-            conn.close()
-        for process in self._processes:
-            process.close()
         self.raise_crashes()

@@ -16,7 +16,7 @@ purely in-process shards.  Both now delegate to an
   protocol and event routing back to the caller.  This is the streaming
   hub's shape: each actor owns a slice of the hub's shards.
 
-Three backends implement both shapes:
+Four backends implement both shapes:
 
 ``SerialBackend``
     Everything inline in the calling thread — zero overhead, the reference
@@ -26,8 +26,11 @@ Three backends implement both shapes:
     the vectorized geometry kernels (and any I/O in sinks) release it, so
     shards overlap where it counts.
 ``ProcessBackend``
-    A process per worker.  Functions, tasks, results and actor messages
-    must be picklable; exceptions crossing the boundary are reduced to
+    A process per worker.  Isolated task maps run on a
+    ``ProcessPoolExecutor``; actors run on the node backend's socket group
+    (:class:`~repro.exec.node.NodeActorGroup`) with its default heartbeat
+    settings.  Functions, tasks, results and actor messages must be
+    picklable; exceptions crossing the boundary are reduced to
     ``(type name, message)`` pairs.  On platforms whose multiprocessing
     start method is ``spawn`` (macOS, Windows), algorithms registered at
     runtime in the parent are only visible to workers when registration
@@ -36,12 +39,12 @@ Three backends implement both shapes:
 ``NodeBackend`` (:mod:`repro.exec.node`)
     A worker process per slot reached over a length-prefixed socket RPC
     with handshake, heartbeats and columnar wire frames — the distributed
-    shard-fabric shape.  Same pickling contract as the process backend for
-    generic messages; the hub's point batches cross as columnar frames.
+    shard-fabric shape — for task maps as well as actors.  Its heartbeat
+    and connect timeouts are configurable.
 
 :func:`resolve_backend` is the single factory every layer goes through, so
-``"serial" | "thread" | "process" | "auto"`` mean the same thing in
-``run_many``, ``StreamHub``, the perf harness and the CLI.
+``"serial" | "thread" | "process" | "node" | "auto"`` mean the same thing
+in ``run_many``, ``StreamHub``, the perf harness and the CLI.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from functools import partial
 from typing import Callable, Sequence
 
 from ..exceptions import InvalidParameterError
-from .actors import ActorGroup, ProcessActorGroup, SerialActorGroup, ThreadActorGroup
+from .actors import ActorGroup, SerialActorGroup, ThreadActorGroup
 
 __all__ = [
     "BACKEND_NAMES",
@@ -240,7 +243,11 @@ def _isolated_call_local(fn: Callable, pair: tuple[int, object]) -> TaskOutcome:
 
 
 class ProcessBackend(ExecutionBackend):
-    """A worker process per slot; tasks and results cross pickle boundaries."""
+    """A worker process per slot; tasks and results cross pickle boundaries.
+
+    Actors run on the node backend's socket group, the one cross-process
+    actor transport.
+    """
 
     name = "process"
 
@@ -267,7 +274,10 @@ class ProcessBackend(ExecutionBackend):
         *,
         on_event: Callable[[int, object], None] | None = None,
     ) -> ActorGroup:
-        return ProcessActorGroup(factories, on_event=on_event)
+        # Imported lazily for the same reason as in resolve_backend.
+        from .node import NodeActorGroup
+
+        return NodeActorGroup(factories, on_event=on_event)
 
 
 def resolve_backend(

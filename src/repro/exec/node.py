@@ -1,13 +1,15 @@
 """Distributed ``node`` backend: actor workers reached over sockets.
 
-:class:`ProcessActorGroup` runs actors in child processes wired to the
-parent by multiprocessing pipes — which works only because parent and
-worker share a machine and an ancestry.  This module re-implements the
-same tell/ask/barrier mailbox protocol over a length-prefixed socket RPC,
-the shape a genuinely distributed shard fabric needs: workers *connect* to
-the parent and complete a token handshake, liveness is observed through
-heartbeats rather than process handles, and every payload crosses the
-boundary as a :mod:`repro.streaming.wire` frame.
+:class:`NodeActorGroup` is the package's one cross-process actor
+transport; both the ``node`` and the ``process`` backends start their
+actors on it.  It speaks the tell/ask/barrier mailbox protocol of
+:mod:`repro.exec.actors` over a length-prefixed socket RPC, the shape a
+genuinely distributed shard fabric needs: workers *connect* to the parent
+and complete a token handshake, liveness is observed through heartbeats
+rather than process handles, and every payload crosses the boundary as a
+:mod:`repro.streaming.wire` frame.  Both socket ends set ``TCP_NODELAY``:
+mailbox packets are small request/reply exchanges, and Nagle's algorithm
+combined with delayed ACKs would hold a reply back by tens of milliseconds.
 
 Today the workers are still local child processes (``127.0.0.1``), so the
 backend is testable in CI and byte-identical to the serial reference; the
@@ -21,7 +23,7 @@ Packet layout (one packet per mailbox operation)::
 id for ``ASK``/``BARRIER`` round trips.  The payload is a wire frame body:
 
 - generic messages, replies and events travel as ``blob`` frames wrapping a
-  pickle (the same contract as the process backend's pipes);
+  pickle;
 - the hub's hot-path ``("push_frame", <bytes>)`` tells travel as the raw
   columnar ``point-batch`` frame — zero pickling on the ingest path;
 - shard segment events travel as columnar ``segment-batch`` frames;
@@ -220,6 +222,7 @@ def _node_worker_main(
     while True:
         try:
             sock = socket.create_connection((host, port))
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             break
         except OSError:
             if time.monotonic() > deadline:
@@ -337,13 +340,12 @@ def _node_worker_main(
 class NodeActorGroup(ActorGroup):
     """Actor workers in child processes reached over a socket RPC.
 
-    Implements the same mailbox contract as :class:`ProcessActorGroup`
-    (FIFO per actor, events delivered before the triggering round trip
-    returns, crashes surfaced at the next barrier) with socket transport,
-    a token handshake, and heartbeat-based dead-worker detection.
+    Implements the mailbox contract of :mod:`repro.exec.actors` (FIFO per
+    actor, events delivered before the triggering round trip returns,
+    crashes surfaced at the next barrier) with socket transport, a token
+    handshake, and heartbeat-based dead-worker detection.  Serves both the
+    ``node`` and the ``process`` backends.
     """
-
-    backend_name = "node"
 
     def __init__(
         self,
@@ -438,6 +440,7 @@ class NodeActorGroup(ActorGroup):
                     conn, _ = listener.accept()
                 except TimeoutError:
                     continue
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 conn.settimeout(5.0)
                 index = self._validate_hello(conn, secret, sockets)
                 _send_packet(

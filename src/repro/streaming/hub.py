@@ -16,12 +16,13 @@ semantics), while ``"thread"``, ``"process"`` and ``"node"`` drive the
 shards on real worker actors — per-shard FIFO mailboxes, single-owner shard
 state (no locks in the ingest path), segments and failures streamed back to
 the hub as events.  On the backends whose batches cross a serialization
-boundary (process pipes, node sockets) the shipped unit is a *columnar wire
-frame* (:mod:`repro.streaming.wire`): per-device little-endian ``float64``
-columns instead of pickled point tuples, decoded straight into the SoA
-blocks the vectorized ingest path consumes.  All backends are contractually
-equivalent: the same device log produces byte-identical per-device segments
-and byte-identical checkpoints, a property the test suite locks in.
+boundary (the process and node backends' sockets) the shipped unit is a
+*columnar wire frame* (:mod:`repro.streaming.wire`): per-device
+little-endian ``float64`` columns instead of pickled point tuples, decoded
+straight into the SoA blocks the vectorized ingest path consumes.  All
+backends are contractually equivalent: the same device log produces
+byte-identical per-device segments and byte-identical checkpoints, a
+property the test suite locks in.
 
 Concurrent workers ingest in *blocks*: every ``push_many`` batch a worker
 receives (``block_size`` records, default :data:`DEFAULT_BLOCK_SIZE`) is
@@ -960,9 +961,10 @@ class StreamHub:
         self._backend = resolve_backend(backend, workers=workers)
         self._concurrent = self._backend.name != "serial"
         self._n_actors = min(self._backend.workers, shards) if self._concurrent else 1
-        # Backends whose batches cross a serialization boundary ship them as
-        # columnar wire frames; the in-process backends pass references.
-        self._use_wire = self._backend.name in ("process", "node")
+        # Backends whose actors run in other processes receive batches as
+        # columnar wire frames, and their device-error events cannot carry
+        # exception objects; the in-process backends pass references.
+        self._crosses_process = self._backend.name in ("process", "node")
         self._wire_frame = POINT_BATCH_FORMATS[wire_format]
         self.errors: list[DeviceError] = []
         self.points_pushed = 0
@@ -980,7 +982,7 @@ class StreamHub:
             epsilon=self._default.epsilon,
             options=dict(self._default.opts),
             on_error=on_error,
-            carry_exceptions=self._backend.name not in ("process", "node"),
+            carry_exceptions=not self._crosses_process,
             epsilons=pyramid_epsilons,
         )
         factories = [
@@ -1006,12 +1008,11 @@ class StreamHub:
         In-process backends pass the record list by reference; process and
         node workers receive the batch as one columnar wire frame (grouped
         into per-device ``float64`` columns by :func:`~.wire.group_records`,
-        replicating exactly the regrouping ``push_batch`` performs), so the
-        only pickled object on the hot path is a single ``bytes`` payload —
-        and the node transport ships even that raw.
+        replicating exactly the regrouping ``push_batch`` performs), which
+        the socket transport ships raw — no pickle on the hot path.
         """
         self.batches_shipped += 1
-        if self._use_wire:
+        if self._crosses_process:
             frame = encode_frame(self._wire_frame, group_records(buffer))
             self.bytes_shipped += len(frame)
             self._group.tell(actor, ("push_frame", frame))

@@ -13,10 +13,11 @@ simplifiers' vectorized ``push_block`` path consumes.
 Frame model
 -----------
 A frame body is ``magic (2B, b"RW") | version (1B) | kind (1B) | payload``.
-On a byte stream (the node backend's sockets) frames travel length-prefixed:
+On a plain byte stream frames travel length-prefixed:
 ``u32 LE body length | body`` — see :func:`pack_frame` / :func:`read_frame`.
-Inside an in-process message (the process backend's pipes) the body travels
-bare, because the pipe already frames messages.
+Inside a packet of the socket actor transport (:mod:`repro.exec.node`,
+which serves both the process and node backends) the body travels bare,
+because the packet header already carries its length.
 
 Every frame kind is registered in :data:`FRAME_TYPES` with an explicit
 ``encode``/``decode`` function pair — the codec never falls back to pickle,
@@ -249,9 +250,9 @@ def group_records(records: Iterable[tuple[int, str, Point]]) -> PointBatch:
     """Group shipped ``(shard, device, point)`` records into SoA blocks.
 
     First-appearance device order and within-device arrival order are both
-    preserved — the exact regrouping the shard workers' ``push_batch`` has
-    always performed, now done once on the encoding side so the columns can
-    go straight onto the wire.
+    preserved — the exact regrouping ``push_batch`` performs on the
+    in-process backends, done here on the parent side so the process and
+    node backends can put the columns straight onto their sockets.
     """
     grouped: dict[str, list[Point]] = {}
     shard_of: dict[str, int] = {}

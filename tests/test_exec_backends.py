@@ -296,7 +296,7 @@ class TestActorGroups:
 
     def test_process_close_drains_buffered_events(self):
         # close() without a prior barrier must still deliver every event the
-        # workers emitted — segments buffered in the pipes are data.
+        # workers emitted — segments buffered in the sockets are data.
         events: list[object] = []
         group = ProcessBackend(4).start_actors(
             [partial(_make_accumulator, 0)] * 4,

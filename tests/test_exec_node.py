@@ -3,8 +3,9 @@
 The generic backend contract (map_isolated ordering, actor mailbox
 semantics, crash surfacing) is exercised for every backend in
 ``test_exec_backends.py`` and the byte-identity matrix in
-``test_exec_equivalence.py``.  This module covers what only the node
-backend has: the packet protocol and handshake validation, the
+``test_exec_equivalence.py``.  This module covers what only the socket
+transport has (the node backend's, on which the process backend's actors
+run too): the packet protocol and handshake validation, TCP_NODELAY, the
 zero-pickle ``push_frame`` hot path, heartbeat-based dead-worker
 detection, and the checkpoint-failover chaos drill the distributed story
 hinges on.
@@ -17,6 +18,7 @@ import json
 import os
 import signal
 import socket
+import statistics
 import threading
 import time
 
@@ -24,7 +26,7 @@ import pytest
 
 from repro import Point
 from repro.exceptions import ExecutionError, WireFormatError
-from repro.exec import NodeBackend
+from repro.exec import NodeBackend, ProcessBackend
 from repro.exec.actors import ActorGroup
 from repro.exec.node import (
     _NO_TOKEN,
@@ -244,6 +246,34 @@ class TestNodeActorGroup:
             group.tell(0, ("emit",))
             group.barrier()
             assert events == [(0, ("custom", {"n": 1}))]
+        finally:
+            group.close()
+
+    @pytest.mark.parametrize(
+        "backend", [NodeBackend(1), ProcessBackend(1)], ids=["node", "process"]
+    )
+    def test_ask_after_an_emitting_tell_does_not_stall(self, backend):
+        # The hub's push-then-checkpoint pattern: the worker writes an
+        # event and then the reply.  Without TCP_NODELAY, Nagle's algorithm
+        # holds the reply behind the unacknowledged event until the
+        # parent's delayed ACK fires (about 40 ms on Linux).
+        events: list[object] = []
+        group = backend.start_actors(
+            [_make_recorder], on_event=lambda actor, event: events.append(event)
+        )
+        try:
+            assert isinstance(group, NodeActorGroup)
+            for sock in group._sockets:
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            group.ask(0, ("drain",))
+            trips = []
+            for _ in range(10):
+                started = time.perf_counter()
+                group.tell(0, ("emit",))
+                group.ask(0, ("emit",))
+                trips.append(time.perf_counter() - started)
+            assert len(events) == 20
+            assert statistics.median(trips) < 0.020, trips
         finally:
             group.close()
 

@@ -1,7 +1,7 @@
 """Wire-codec contract tests: explicit layouts, exact round-trips, no slack.
 
-The wire module is what the process and node backends push through pipes
-and sockets, so its invariants are the transport half of the byte-identical
+The wire module is what the process and node backends push through their
+sockets, so its invariants are the transport half of the byte-identical
 contract: every registered frame round-trips its payload bit for bit,
 encoding is a pure function of the payload (same payload → same bytes),
 and every malformed input fails loudly with :class:`WireFormatError`
