@@ -17,7 +17,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro import evaluate, simplify
+from repro import Simplifier, evaluate
 from repro.datasets import generate_trajectory, geolife_available, load_geolife
 from repro.geometry import LocalProjection
 from repro.trajectory import write_piecewise_csv
@@ -66,8 +66,9 @@ def main() -> None:
     print(f"loaded {len(trajectories)} trajectories")
     total_points = 0
     total_segments = 0
+    simplifier = Simplifier("operb-a", EPSILON)
     for trajectory in trajectories:
-        compressed = simplify(trajectory, EPSILON, algorithm="operb-a")
+        compressed = simplifier.run(trajectory)
         report = evaluate(trajectory, compressed, EPSILON)
         total_points += len(trajectory)
         total_segments += compressed.n_segments

@@ -31,25 +31,19 @@ use the same session:
 8
 
 ``repro.api.register_algorithm`` adds new algorithms to the same registry,
-making them available to the CLI, the experiment harness and the streaming
-pipelines at once.  The legacy ``simplify`` / ``get_algorithm`` /
-``make_streaming_simplifier`` entry points keep working as deprecation
-shims.
+making them available to the CLI, the experiment harness and the stream
+hub at once.  :class:`~repro.api.Simplifier` is the only entry point.
 """
 
 from ._version import __version__
 from .algorithms import (
-    ALGORITHMS,
     bqs,
     dead_reckoning,
     douglas_peucker,
     douglas_peucker_sed,
     fbqs,
-    get_algorithm,
-    list_algorithms,
     opw,
     opw_tr,
-    simplify,
     uniform_sampling,
 )
 from .api import (
@@ -108,18 +102,10 @@ from .metrics import (
     max_error,
     segment_size_distribution,
 )
-from .streaming import (
-    StreamHub,
-    StreamingPipeline,
-    make_streaming_simplifier,
-    restore_hub,
-    run_pipeline,
-    save_checkpoint,
-)
+from .streaming import StreamHub, restore_hub, save_checkpoint
 from .trajectory import PiecewiseRepresentation, PointBlock, SegmentRecord, Trajectory
 
 __all__ = [
-    "ALGORITHMS",
     "AlgorithmDescriptor",
     "CheckpointError",
     "DatasetError",
@@ -150,7 +136,6 @@ __all__ = [
     "Simplifier",
     "StreamHub",
     "StreamSession",
-    "StreamingPipeline",
     "TAXI",
     "TRUCK",
     "Trajectory",
@@ -169,13 +154,10 @@ __all__ = [
     "fleet_compression_ratio",
     "generate_dataset",
     "generate_trajectory",
-    "get_algorithm",
     "get_descriptor",
     "get_profile",
-    "list_algorithms",
     "list_descriptors",
     "load_geolife",
-    "make_streaming_simplifier",
     "max_error",
     "operb",
     "operb_a",
@@ -185,9 +167,7 @@ __all__ = [
     "raw_operb_a",
     "register_algorithm",
     "restore_hub",
-    "run_pipeline",
     "save_checkpoint",
     "segment_size_distribution",
-    "simplify",
     "uniform_sampling",
 ]

@@ -1,4 +1,7 @@
-"""Line-simplification baselines and the shared algorithm registry."""
+"""Line-simplification baselines (batch functions and streaming simplifiers).
+
+Algorithms are looked up by name through :mod:`repro.api`.
+"""
 
 from .base import SimplificationFunction, StreamingSimplifier, validate_epsilon
 from .bqs import BoundedQuadrantWindow, QuadrantBound, bqs
@@ -6,11 +9,9 @@ from .dead_reckoning import DeadReckoningSimplifier, dead_reckoning
 from .douglas_peucker import douglas_peucker, douglas_peucker_sed, dp_retained_indices
 from .fbqs import FBQSSimplifier, fbqs
 from .opw import opw, opw_tr
-from .registry import ALGORITHMS, get_algorithm, list_algorithms, simplify
 from .uniform import uniform_sampling
 
 __all__ = [
-    "ALGORITHMS",
     "BoundedQuadrantWindow",
     "DeadReckoningSimplifier",
     "FBQSSimplifier",
@@ -23,11 +24,8 @@ __all__ = [
     "douglas_peucker_sed",
     "dp_retained_indices",
     "fbqs",
-    "get_algorithm",
-    "list_algorithms",
     "opw",
     "opw_tr",
-    "simplify",
     "uniform_sampling",
     "validate_epsilon",
 ]

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterator
 from ..exceptions import SimplificationError
 from ..geometry import kernels
 from ..geometry.point import Point, decode_point, encode_point
-from ..trajectory.blocks import drive_block_steps
+from ..trajectory.blocks import BlockIngestMixin, drive_block_steps
 from ..trajectory.model import Trajectory
 from ..trajectory.piecewise import PiecewiseRepresentation, SegmentRecord
 from .base import trivial_representation, validate_epsilon
@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["DeadReckoningSimplifier", "dead_reckoning"]
 
 
-class DeadReckoningSimplifier:
+class DeadReckoningSimplifier(BlockIngestMixin):
     """Streaming dead-reckoning simplifier (push/finish interface)."""
 
     name = "dead-reckoning"
@@ -98,33 +98,16 @@ class DeadReckoningSimplifier:
         self._previous = point
         return emitted
 
-    def push_block(self, block: "PointBlock") -> list[SegmentRecord]:
-        """Feed a whole SoA block of points; return the finalised segments.
+    def _block_steps(
+        self, block: "PointBlock"
+    ) -> Iterator[tuple[int, list[SegmentRecord]]]:
+        """Probe-driven block loop behind :meth:`push_block`.
 
         Between transmissions the sender state (last kept point, velocity)
         is frozen, so a whole run of within-bound fixes is detected with one
         vectorized prediction-error kernel call; only the fixes that force a
-        transmission take the scalar :meth:`push`.  Byte-identical to
-        per-point ingest.
+        transmission take the scalar :meth:`push`.
         """
-        emitted: list[SegmentRecord] = []
-        for _, segments in self.push_block_steps(block):
-            emitted.extend(segments)
-        return emitted
-
-    def push_block_steps(
-        self, block: "PointBlock"
-    ) -> Iterator[tuple[int, list[SegmentRecord]]]:
-        """Traced form of :meth:`push_block` (see ``OPERBSimplifier``)."""
-        if self._finished:
-            raise SimplificationError("push() called after finish()")
-        if len(block) == 0:
-            return iter(())
-        return self._block_steps(block)
-
-    def _block_steps(
-        self, block: "PointBlock"
-    ) -> Iterator[tuple[int, list[SegmentRecord]]]:
         xs = block.xs
         ys = block.ys
         ts = block.ts
@@ -173,18 +156,6 @@ class DeadReckoningSimplifier:
                 last_index=self._index,
             )
         ]
-
-    def simplify(self, trajectory: Trajectory) -> PiecewiseRepresentation:
-        """Simplify a whole trajectory with this (fresh) simplifier instance."""
-        if self._index >= 0 or self._finished:
-            raise SimplificationError("simplify() requires a fresh simplifier instance")
-        segments: list[SegmentRecord] = []
-        for point in trajectory:
-            segments.extend(self.push(point))
-        segments.extend(self.finish())
-        return PiecewiseRepresentation(
-            segments=segments, source_size=len(trajectory), algorithm=self.name
-        )
 
     def snapshot(self) -> dict:
         """JSON-serialisable state (last kept point, velocity, counters)."""

@@ -25,7 +25,7 @@ from ..trajectory.piecewise import (
     SegmentCascadeMixin,
     SegmentRecord,
 )
-from ..trajectory.blocks import drive_block_steps
+from ..trajectory.blocks import BlockIngestMixin, drive_block_steps
 from .base import trivial_representation, validate_epsilon
 from .bqs import BoundedQuadrantWindow
 
@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["FBQSSimplifier", "fbqs"]
 
 
-class FBQSSimplifier(SegmentCascadeMixin):
+class FBQSSimplifier(SegmentCascadeMixin, BlockIngestMixin):
     """Streaming FBQS simplifier (push/finish interface)."""
 
     name = "fbqs"
@@ -101,8 +101,10 @@ class FBQSSimplifier(SegmentCascadeMixin):
         self._previous_index = self._index
         return emitted
 
-    def push_block(self, block: "PointBlock") -> list[SegmentRecord]:
-        """Feed a whole SoA block of points; return the finalised segments.
+    def _block_steps(
+        self, block: "PointBlock"
+    ) -> Iterator[tuple[int, list[SegmentRecord]]]:
+        """Probe-driven block loop behind :meth:`push_block`.
 
         Runs of candidates are bulk-accepted through the vectorized
         corner-radius screen
@@ -110,28 +112,8 @@ class FBQSSimplifier(SegmentCascadeMixin):
         window's quadrant boxes — extended by a whole slice of points — stay
         within ``epsilon`` of the anchor, every candidate in the slice is
         provably acceptable and only the cheap ``add`` bookkeeping runs.
-        Inconclusive slices replay through the scalar :meth:`push`, so
-        decisions and state — including :meth:`snapshot` — are
-        byte-identical to per-point ingest.
+        Inconclusive slices replay through the scalar :meth:`push`.
         """
-        emitted: list[SegmentRecord] = []
-        for _, segments in self.push_block_steps(block):
-            emitted.extend(segments)
-        return emitted
-
-    def push_block_steps(
-        self, block: "PointBlock"
-    ) -> Iterator[tuple[int, list[SegmentRecord]]]:
-        """Traced form of :meth:`push_block` (see ``OPERBSimplifier``)."""
-        if self._finished:
-            raise SimplificationError("push() called after finish()")
-        if len(block) == 0:
-            return iter(())
-        return self._block_steps(block)
-
-    def _block_steps(
-        self, block: "PointBlock"
-    ) -> Iterator[tuple[int, list[SegmentRecord]]]:
         xs = block.xs
         ys = block.ys
         n = len(block)
@@ -196,18 +178,6 @@ class FBQSSimplifier(SegmentCascadeMixin):
                 last_index=self._previous_index,
             )
         ]
-
-    def simplify(self, trajectory: Trajectory) -> PiecewiseRepresentation:
-        """Simplify a whole trajectory with this (fresh) simplifier instance."""
-        if self._index >= 0 or self._finished:
-            raise SimplificationError("simplify() requires a fresh simplifier instance")
-        segments: list[SegmentRecord] = []
-        for point in trajectory:
-            segments.extend(self.push(point))
-        segments.extend(self.finish())
-        return PiecewiseRepresentation(
-            segments=segments, source_size=len(trajectory), algorithm=self.name
-        )
 
     def snapshot(self) -> dict:
         """JSON-serialisable state, including the open window's bounds."""

@@ -11,11 +11,9 @@ streaming factory + capability flags) in one registry; the
 - ``.run_many(trajectories, workers=N)`` — fleet-scale execution over a
   process pool with per-trajectory error isolation.
 
-The CLI, the experiment harness, the streaming pipelines and
-:func:`repro.metrics.evaluate_fleet` all dispatch through here; the legacy
-``ALGORITHMS`` / ``STREAMING_ALGORITHMS`` dicts are deprecation-shimmed
-views over this registry.  Register new algorithms with
-:func:`register_algorithm`.
+The CLI, the experiment harness, the stream hub and
+:func:`repro.metrics.evaluate_fleet` all dispatch through here; there is no
+other way in.  Register new algorithms with :func:`register_algorithm`.
 """
 
 from .descriptors import (

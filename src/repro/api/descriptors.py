@@ -41,8 +41,8 @@ New algorithms are registered with the :func:`register_algorithm` decorator::
     def my_algo(trajectory, epsilon):
         ...
 
-and immediately become available to :class:`repro.api.Simplifier`, the CLI,
-the experiment harness and the deprecated ``ALGORITHMS`` views.
+and immediately become available to :class:`repro.api.Simplifier`, the CLI
+and the experiment harness.
 """
 
 from __future__ import annotations

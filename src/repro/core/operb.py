@@ -20,7 +20,7 @@ from ..exceptions import SimplificationError
 from ..geometry import kernels
 from ..geometry.kernels import ped_point_to_chord
 from ..geometry.point import Point, decode_point, encode_point
-from ..trajectory.blocks import drive_block_steps
+from ..trajectory.blocks import BlockIngestMixin, drive_block_steps
 from ..trajectory.model import Trajectory
 from ..trajectory.piecewise import (
     PiecewiseRepresentation,
@@ -72,7 +72,7 @@ class _AbsorptionState:
     absorbed: int = 0
 
 
-class OPERBSimplifier(SegmentCascadeMixin):
+class OPERBSimplifier(SegmentCascadeMixin, BlockIngestMixin):
     """Streaming OPERB simplifier.
 
     Parameters
@@ -153,41 +153,17 @@ class OPERBSimplifier(SegmentCascadeMixin):
         self._previous_point = point
         return emitted
 
-    def push_block(self, block: "PointBlock") -> list[SegmentRecord]:
-        """Feed a whole SoA block of points; return the finalised segments.
-
-        Byte-identical to pushing the block's points one at a time — same
-        segments, same statistics, same :meth:`snapshot` — but runs of
-        absorbed points (pre-direction points near the anchor, inactive
-        points inside the deviation budget, trailing points absorbed by
-        optimisation 5) are detected with one vectorized prefix-kernel call
-        each instead of per-point Python.  Only the run-breaking points go
-        through the scalar :meth:`push`.
-        """
-        emitted: list[SegmentRecord] = []
-        for _, segments in self.push_block_steps(block):
-            emitted.extend(segments)
-        return emitted
-
-    def push_block_steps(
-        self, block: "PointBlock"
-    ) -> Iterator[tuple[int, list[SegmentRecord]]]:
-        """Traced form of :meth:`push_block`: ``(count, segments)`` steps.
-
-        Each step ingests ``count`` further points of the block; ``segments``
-        are the ones finalised by the last of them (empty for bulk-absorbed
-        runs).  Consumers that account per-push emission positions (the
-        stream hub's lag counters) drive this instead of :meth:`push_block`.
-        """
-        if self._finished:
-            raise SimplificationError("push() called after finish()")
-        if len(block) == 0:
-            return iter(())
-        return self._block_steps(block)
-
     def _block_steps(
         self, block: "PointBlock"
     ) -> Iterator[tuple[int, list[SegmentRecord]]]:
+        """Probe-driven block loop behind :meth:`push_block`.
+
+        Runs of absorbed points (pre-direction points near the anchor,
+        inactive points inside the deviation budget, trailing points
+        absorbed by optimisation 5) are detected with one vectorized
+        prefix-kernel call each; only the run-breaking points go through
+        the scalar :meth:`push`.
+        """
         xs = block.xs
         ys = block.ys
         n = xs.shape[0]
@@ -354,18 +330,6 @@ class OPERBSimplifier(SegmentCascadeMixin):
             )
         self._segment = None
         return emitted
-
-    def simplify(self, trajectory: Trajectory) -> PiecewiseRepresentation:
-        """Simplify a whole trajectory with this (fresh) simplifier instance."""
-        if self._index >= 0 or self._finished:
-            raise SimplificationError("simplify() requires a fresh simplifier instance")
-        segments: list[SegmentRecord] = []
-        for point in trajectory:
-            segments.extend(self.push(point))
-        segments.extend(self.finish())
-        return PiecewiseRepresentation(
-            segments=segments, source_size=len(trajectory), algorithm=self.name
-        )
 
     # ------------------------------------------------------------------ #
     # Checkpoint protocol

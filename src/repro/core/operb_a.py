@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Iterator
 
 from ..exceptions import SimplificationError
 from ..geometry.point import Point
+from ..trajectory.blocks import BlockIngestMixin
 from ..trajectory.model import Trajectory
 from ..trajectory.piecewise import (
     PiecewiseRepresentation,
@@ -53,7 +54,7 @@ class OperbAStatistics:
         return self.patches_applied / self.anomalous_segments
 
 
-class OPERBASimplifier(SegmentCascadeMixin):
+class OPERBASimplifier(SegmentCascadeMixin, BlockIngestMixin):
     """Streaming OPERB-A simplifier.
 
     Parameters
@@ -104,32 +105,15 @@ class OPERBASimplifier(SegmentCascadeMixin):
             emitted.extend(self._accept(segment))
         return emitted
 
-    def push_block(self, block: "PointBlock") -> list[SegmentRecord]:
-        """Feed a whole SoA block of points; return the finalised segments.
-
-        The OPERB engine underneath ingests the block through its vectorized
-        fast path; every segment it finalises runs through the same lazy
-        patching buffer as in per-point mode, so the output (and
-        :meth:`snapshot`) is byte-identical to pushing point by point.
-        """
-        emitted: list[SegmentRecord] = []
-        for _, segments in self.push_block_steps(block):
-            emitted.extend(segments)
-        return emitted
-
-    def push_block_steps(
-        self, block: "PointBlock"
-    ) -> Iterator[tuple[int, list[SegmentRecord]]]:
-        """Traced form of :meth:`push_block` (see ``OPERBSimplifier``)."""
-        if self._finished:
-            raise SimplificationError("push() called after finish()")
-        if len(block) == 0:
-            return iter(())
-        return self._block_steps(block)
-
     def _block_steps(
         self, block: "PointBlock"
     ) -> Iterator[tuple[int, list[SegmentRecord]]]:
+        """Block loop behind :meth:`push_block`.
+
+        The OPERB engine underneath ingests the block through its vectorized
+        fast path; every segment it finalises runs through the same lazy
+        patching buffer as in per-point mode.
+        """
         silent = 0
         steps = self._engine.push_block_steps(block)
         while True:
@@ -170,16 +154,11 @@ class OPERBASimplifier(SegmentCascadeMixin):
         self._finished = True
         return emitted
 
-    def simplify(self, trajectory: Trajectory) -> PiecewiseRepresentation:
-        """Simplify a whole trajectory with this (fresh) simplifier instance."""
-        if self._finished or self._pending or self._engine.stats.points_processed:
-            raise SimplificationError("simplify() requires a fresh simplifier instance")
-        segments: list[SegmentRecord] = []
-        for point in trajectory:
-            segments.extend(self.push(point))
-        segments.extend(self.finish())
-        return PiecewiseRepresentation(
-            segments=segments, source_size=len(trajectory), algorithm=self.name
+    def _is_fresh(self) -> bool:
+        # No stream index of its own: the engine and the lazy buffer hold
+        # the stream position.
+        return not (
+            self._finished or self._pending or self._engine.stats.points_processed
         )
 
     # ------------------------------------------------------------------ #

@@ -1,5 +1,8 @@
-"""Streaming (push-based) simplification pipelines, the multi-device hub
-with checkpoint/restore, and accounting wrappers."""
+"""The multi-device stream hub with checkpoint/restore, segment sinks, the
+epsilon pyramid and the columnar wire codec.
+
+Single streams are opened with ``repro.api.Simplifier(name, eps).open_stream()``.
+"""
 
 from .checkpoint import (
     load_checkpoint,
@@ -8,7 +11,6 @@ from .checkpoint import (
     save_checkpoint,
     write_point_log,
 )
-from .counting import CountingPointSource, CountingSimplifier
 from .hub import (
     DEFAULT_BLOCK_SIZE,
     DeviceError,
@@ -18,8 +20,6 @@ from .hub import (
     StreamHub,
     shard_index,
 )
-from .interface import STREAMING_ALGORITHMS, BufferedBatchAdapter, make_streaming_simplifier
-from .pipeline import PipelineResult, StreamingPipeline, run_pipeline
 from .pyramid import PyramidSession, validate_epsilon_ladder
 from .sinks import (
     CollectingSink,
@@ -45,36 +45,28 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "FRAME_TYPES",
     "POINT_BATCH_FORMATS",
-    "STREAMING_ALGORITHMS",
-    "BufferedBatchAdapter",
     "CollectingSink",
-    "CountingPointSource",
-    "CountingSimplifier",
     "CsvSegmentSink",
     "DeviceError",
     "DeviceStream",
     "FrameType",
     "HubShard",
     "HubStats",
-    "PipelineResult",
     "PyramidSession",
     "SegmentSink",
     "StatisticsSink",
     "StreamHub",
-    "StreamingPipeline",
     "close_sink",
     "decode_frame",
     "encode_frame",
     "flush_sink",
     "group_records",
     "load_checkpoint",
-    "make_streaming_simplifier",
     "pack_frame",
     "read_frame",
     "read_point_log",
     "register_frame",
     "restore_hub",
-    "run_pipeline",
     "save_checkpoint",
     "shard_index",
     "validate_epsilon_ladder",

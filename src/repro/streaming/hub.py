@@ -96,7 +96,7 @@ from ..trajectory.piecewise import SegmentRecord
 from ..trajectory.soa import PointBlock
 from .pyramid import PyramidSession, validate_epsilon_ladder
 from .sinks import SegmentSink, close_sink, flush_sink
-from .wire import POINT_BATCH_FORMATS, decode_frame, encode_frame, group_records
+from .wire import POINT_BATCH_FRAME, decode_frame, encode_frame, group_records
 
 __all__ = [
     "DeviceError",
@@ -594,7 +594,7 @@ class _ShardCore:
         byte-identical to every other ingest route.
         """
         name, groups = decode_frame(body)
-        if name not in ("point-batch", "point-batch-jsonl"):
+        if name != POINT_BATCH_FRAME:
             raise SimplificationError(
                 f"shard worker received a {name!r} frame on the ingest path"
             )
@@ -866,14 +866,6 @@ class StreamHub:
         a batch is the block size its kernels see.  Purely an execution
         knob: any value produces byte-identical per-device segments and
         checkpoints.
-    wire_format:
-        Encoding of the batches shipped to process/node shard workers:
-        ``"columnar"`` (default, little-endian ``float64`` columns per
-        device — the fast path) or ``"jsonl"`` (one JSON object per device
-        line, a human-readable debug fallback).  See
-        :mod:`repro.streaming.wire`.  Ignored by the in-process backends,
-        whose batches never cross a serialization boundary.  Any value
-        produces byte-identical per-device segments and checkpoints.
     """
 
     def __init__(
@@ -891,18 +883,12 @@ class StreamHub:
         backend: str | ExecutionBackend = "serial",
         workers: int | None = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        wire_format: str = "columnar",
     ) -> None:
         if shards < 1:
             raise InvalidParameterError(f"shards must be at least 1, got {shards}")
         if block_size < 1:
             raise InvalidParameterError(
                 f"block_size must be at least 1, got {block_size}"
-            )
-        if wire_format not in POINT_BATCH_FORMATS:
-            raise InvalidParameterError(
-                f"wire_format must be one of "
-                f"{tuple(POINT_BATCH_FORMATS)}, got {wire_format!r}"
             )
         if on_error not in _ON_ERROR_MODES:
             raise InvalidParameterError(
@@ -965,7 +951,6 @@ class StreamHub:
         # columnar wire frames, and their device-error events cannot carry
         # exception objects; the in-process backends pass references.
         self._crosses_process = self._backend.name in ("process", "node")
-        self._wire_frame = POINT_BATCH_FORMATS[wire_format]
         self.errors: list[DeviceError] = []
         self.points_pushed = 0
         self.segments_emitted = 0
@@ -1013,7 +998,7 @@ class StreamHub:
         """
         self.batches_shipped += 1
         if self._crosses_process:
-            frame = encode_frame(self._wire_frame, group_records(buffer))
+            frame = encode_frame(POINT_BATCH_FRAME, group_records(buffer))
             self.bytes_shipped += len(frame)
             self._group.tell(actor, ("push_frame", frame))
         else:

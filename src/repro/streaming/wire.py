@@ -29,8 +29,6 @@ kind  name                 payload
 0x01  json                 any JSON value (handshakes, control replies)
 0x02  point-batch          ``list[(shard, device_id, PointBlock)]``,
                            columnar ``<f8`` x/y/t columns per device
-0x03  point-batch-jsonl    same payload, one JSON object per line —
-                           human-readable debug fallback
 0x04  segment-batch        one ``("segments" | "level_segments", device,
                            level, [SegmentRecord, ...])`` event, columnar
 0x05  blob                 opaque ``bytes`` (the transport layer's escape
@@ -39,8 +37,7 @@ kind  name                 payload
 
 Determinism contract: encoding is a pure function of the payload (stable
 key order, no clocks, no ambient state), and every decode reconstructs the
-payload bit for bit — ``float64`` columns round-trip exactly through both
-the binary and the JSONL form (JSON floats round-trip via ``repr``).
+payload bit for bit — ``float64`` columns round-trip exactly.
 """
 
 from __future__ import annotations
@@ -62,7 +59,6 @@ __all__ = [
     "WIRE_VERSION",
     "JSON_FRAME",
     "POINT_BATCH_FRAME",
-    "POINT_BATCH_JSONL_FRAME",
     "SEGMENT_BATCH_FRAME",
     "BLOB_FRAME",
     "POINT_BATCH_FORMATS",
@@ -78,8 +74,6 @@ __all__ = [
     "decode_json",
     "encode_point_batch",
     "decode_point_batch",
-    "encode_point_batch_jsonl",
-    "decode_point_batch_jsonl",
     "encode_segment_batch",
     "decode_segment_batch",
     "encode_blob",
@@ -93,7 +87,7 @@ WIRE_VERSION = 1
 """Wire protocol version; bumped on incompatible layout changes."""
 
 PointBatch = list[tuple[int, str, PointBlock]]
-"""Payload type of the point-batch frames: per-device SoA groups, each
+"""Payload type of the point-batch frame: per-device SoA groups, each
 tagged with the shard index that owns the device."""
 
 SegmentBatch = tuple[str, str, int, list[SegmentRecord]]
@@ -317,54 +311,6 @@ def decode_point_batch(body: bytes) -> PointBatch:
     return groups
 
 
-def encode_point_batch_jsonl(payload: PointBatch) -> bytes:
-    """Debug fallback: the point-batch payload as one JSON object per line.
-
-    Byte-for-byte equivalent after a round trip (floats survive JSON via
-    ``repr``), just human-readable — switch a hub to it with
-    ``wire_format="jsonl"`` when eyeballing shipped traffic.
-    """
-    lines = []
-    for shard_i, device_id, block in payload:
-        points = [
-            [float(block.xs[i]), float(block.ys[i]), float(block.ts[i])]
-            for i in range(len(block))
-        ]
-        lines.append(
-            json.dumps(
-                {"device": device_id, "points": points, "shard": shard_i},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    return "\n".join(lines).encode("utf-8")
-
-
-def decode_point_batch_jsonl(body: bytes) -> PointBatch:
-    """Inverse of :func:`encode_point_batch_jsonl`."""
-    groups: PointBatch = []
-    if not body:
-        return groups
-    for line in body.decode("utf-8").split("\n"):
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise WireFormatError(f"malformed point-batch-jsonl line: {error}") from error
-        points = entry["points"]
-        groups.append(
-            (
-                int(entry["shard"]),
-                str(entry["device"]),
-                PointBlock(
-                    np.array([p[0] for p in points], dtype=float),
-                    np.array([p[1] for p in points], dtype=float),
-                    np.array([p[2] for p in points], dtype=float),
-                ),
-            )
-        )
-    return groups
-
-
 # ---------------------------------------------------------------------- #
 # segment-batch — shard-worker segment events
 # ---------------------------------------------------------------------- #
@@ -472,16 +418,10 @@ JSON_FRAME = register_frame(0x01, "json", encode_json, decode_json).name
 POINT_BATCH_FRAME = register_frame(
     0x02, "point-batch", encode_point_batch, decode_point_batch
 ).name
-POINT_BATCH_JSONL_FRAME = register_frame(
-    0x03, "point-batch-jsonl", encode_point_batch_jsonl, decode_point_batch_jsonl
-).name
 SEGMENT_BATCH_FRAME = register_frame(
     0x04, "segment-batch", encode_segment_batch, decode_segment_batch
 ).name
 BLOB_FRAME = register_frame(0x05, "blob", encode_blob, decode_blob).name
 
-POINT_BATCH_FORMATS = {
-    "columnar": POINT_BATCH_FRAME,
-    "jsonl": POINT_BATCH_JSONL_FRAME,
-}
-"""Hub ``wire_format`` knob values and the point-batch frame each selects."""
+POINT_BATCH_FORMATS = {"columnar": POINT_BATCH_FRAME}
+"""Point-batch encodings by name and the frame each selects (columnar only)."""

@@ -10,26 +10,95 @@ unprofitable (see the ``BLOCK_*`` constants in
 window, delivery of the pending silent prefix before a mid-block exception
 surfaces — is algorithm-independent, so it lives here exactly once;
 each simplifier contributes only its probe.
+
+:class:`BlockIngestMixin` holds the protocol boilerplate around that loop —
+``push_block``, the ``push_block_steps`` guard and the per-point batch
+``simplify`` — so the native streaming simplifiers write it only once.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterator
 
+from ..exceptions import SimplificationError
 from ..geometry import kernels
+from .piecewise import PiecewiseRepresentation, SegmentRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..trajectory.piecewise import SegmentRecord
+    from .model import Trajectory
     from .soa import PointBlock
 
-__all__ = ["drive_block_steps"]
+__all__ = ["BlockIngestMixin", "drive_block_steps"]
+
+
+class BlockIngestMixin:
+    """Block-ingest protocol and batch ``simplify`` for push/finish simplifiers.
+
+    The host class supplies ``push``/``finish``, a ``name``, a ``_finished``
+    flag, an ``_index`` stream position (or its own :meth:`_is_fresh`) and
+    ``_block_steps(block)`` — its traced block loop, usually
+    :func:`drive_block_steps` around the simplifier's probe.  Defined here
+    rather than in :mod:`repro.algorithms.base` for the same reason as
+    :class:`~repro.trajectory.piecewise.SegmentCascadeMixin`: ``repro.core``
+    simplifiers inherit it and must not import the ``algorithms`` package.
+    """
+
+    name: str
+    _finished: bool
+    _index: int
+
+    def push_block(self, block: "PointBlock") -> list[SegmentRecord]:
+        """Feed a whole SoA block of points; return the finalised segments.
+
+        Byte-identical to pushing the block's points one at a time — same
+        segments, same statistics, same ``snapshot()`` — but absorbed runs
+        go through the vectorized prefix kernels instead of per-point
+        Python (see the host's ``_block_steps``).
+        """
+        emitted: list[SegmentRecord] = []
+        for _, segments in self.push_block_steps(block):
+            emitted.extend(segments)
+        return emitted
+
+    def push_block_steps(
+        self, block: "PointBlock"
+    ) -> Iterator[tuple[int, list[SegmentRecord]]]:
+        """Traced form of :meth:`push_block`: ``(count, segments)`` steps.
+
+        Each step ingests ``count`` further points of the block; ``segments``
+        are the ones finalised by the last of them (empty for bulk-absorbed
+        runs).  Consumers that account per-push emission positions (the
+        stream hub's lag counters) drive this instead of :meth:`push_block`.
+        """
+        if self._finished:
+            raise SimplificationError("push() called after finish()")
+        if len(block) == 0:
+            return iter(())
+        return self._block_steps(block)  # type: ignore[attr-defined]
+
+    def _is_fresh(self) -> bool:
+        """Whether no point has been pushed and ``finish()`` has not run."""
+        return self._index < 0 and not self._finished
+
+    def simplify(self, trajectory: "Trajectory") -> PiecewiseRepresentation:
+        """Simplify a whole trajectory with this (fresh) simplifier instance."""
+        if not self._is_fresh():
+            raise SimplificationError("simplify() requires a fresh simplifier instance")
+        push = self.push  # type: ignore[attr-defined]
+        segments: list[SegmentRecord] = []
+        for point in trajectory:
+            segments.extend(push(point))
+        segments.extend(self.finish())  # type: ignore[attr-defined]
+        return PiecewiseRepresentation(
+            segments=segments, source_size=len(trajectory), algorithm=self.name
+        )
 
 
 def drive_block_steps(
     simplifier: object,
     block: "PointBlock",
     probe: Callable[[int], tuple[int, bool, bool]],
-) -> Iterator["tuple[int, list[SegmentRecord]]"]:
+) -> Iterator[tuple[int, list[SegmentRecord]]]:
     """Drive one block through a simplifier's probe/scalar machinery.
 
     ``probe(start)`` examines the block from ``start`` and returns

@@ -1,23 +1,24 @@
-"""Tests for the unified AlgorithmDescriptor registry and the legacy shims."""
+"""Tests for the unified AlgorithmDescriptor registry and the public surface."""
 
 from __future__ import annotations
+
+import importlib
 
 import pytest
 
 from repro import InvalidParameterError, UnknownAlgorithmError
-from repro.algorithms.registry import ALGORITHMS, get_algorithm, simplify
 from repro.api import (
     AlgorithmDescriptor,
     Simplifier,
     algorithm_names,
     get_descriptor,
     list_descriptors,
+    open_raw_stream,
     register_algorithm,
     unregister_algorithm,
 )
-from repro.streaming.interface import STREAMING_ALGORITHMS, make_streaming_simplifier
 
-# What the pre-unification STREAMING_ALGORITHMS dict contained: the ground
+# The paper algorithms with a native push/finish implementation: the ground
 # truth the streaming capability flags must match.
 NATIVE_STREAMING = {"operb", "raw-operb", "operb-a", "raw-operb-a", "fbqs", "dead-reckoning"}
 PAPER_NAMES = {
@@ -164,52 +165,51 @@ class TestCapabilityFlags:
         descriptor.validate_kwargs({"opt_two_sided_deviation": False}, streaming=True)
 
 
-class TestDeprecatedViews:
-    def test_algorithms_view_item_access_warns(self):
-        with pytest.warns(DeprecationWarning):
-            function = ALGORITHMS["dp"]
-        assert function is get_descriptor("dp").batch
+class TestReplacementEntryPoints:
+    # What callers of the removed helpers use instead yields the same output.
+    def test_descriptor_batch_matches_session_run(self, noisy_walk):
+        batch = get_descriptor("dp").batch(noisy_walk, 25.0)
+        assert batch.segments == Simplifier("dp", 25.0).run(noisy_walk).segments
 
-    def test_streaming_view_item_access_warns(self):
-        with pytest.warns(DeprecationWarning):
-            factory = STREAMING_ALGORITHMS["fbqs"]
-        assert factory is get_descriptor("fbqs").streaming_factory
-
-    def test_streaming_view_only_lists_streaming_algorithms(self):
-        assert set(STREAMING_ALGORITHMS) & PAPER_NAMES == NATIVE_STREAMING
-        assert "dp" not in STREAMING_ALGORITHMS
-
-    def test_views_are_live(self):
-        register_algorithm("unit-test-live", error_metric="none")(
-            lambda trajectory, epsilon=0.0: None
-        )
-        try:
-            assert "unit-test-live" in ALGORITHMS
-        finally:
-            unregister_algorithm("unit-test-live")
-        assert "unit-test-live" not in ALGORITHMS
-
-
-class TestDeprecationShims:
-    def test_get_algorithm_warns_and_matches_descriptor(self):
-        with pytest.warns(DeprecationWarning):
-            function = get_algorithm("DP")
-        assert function is get_descriptor("dp").batch
-
-    def test_simplify_warns_and_matches_session(self, noisy_walk):
-        with pytest.warns(DeprecationWarning):
-            legacy = simplify(noisy_walk, 25.0, algorithm="operb")
-        modern = Simplifier("operb", 25.0).run(noisy_walk)
-        assert legacy.segments == modern.segments
-
-    def test_make_streaming_simplifier_warns_and_matches_session(self, noisy_walk):
-        with pytest.warns(DeprecationWarning):
-            legacy = make_streaming_simplifier("operb", 25.0)
+    def test_raw_stream_matches_session_stream(self, noisy_walk):
+        raw = open_raw_stream(get_descriptor("operb"), 25.0)
         segments = []
         for point in noisy_walk:
-            segments.extend(legacy.push(point))
-        segments.extend(legacy.finish())
+            segments.extend(raw.push(point))
+        segments.extend(raw.finish())
 
         with Simplifier("operb", 25.0).open_stream() as stream:
             stream.feed(noisy_walk)
         assert segments == list(stream.result().segments)
+
+
+class TestPublicSurface:
+    # The pre-descriptor entry points and the pipeline/counting wrappers;
+    # repro.api.Simplifier is the only way in.
+    REMOVED = {
+        "ALGORITHMS",
+        "BufferedBatchAdapter",
+        "CountingPointSource",
+        "CountingSimplifier",
+        "PipelineResult",
+        "STREAMING_ALGORITHMS",
+        "StreamingPipeline",
+        "get_algorithm",
+        "list_algorithms",
+        "make_streaming_simplifier",
+        "run_pipeline",
+        "simplify",
+    }
+
+    @pytest.mark.parametrize(
+        "package", ["repro", "repro.api", "repro.algorithms", "repro.streaming"]
+    )
+    def test_exports_resolve_and_exclude_removed_names(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert hasattr(module, name), f"{package}.{name} is exported but missing"
+        removed = set(self.REMOVED)
+        if package == "repro.api":
+            removed.discard("BufferedBatchAdapter")  # its one home
+        assert not removed & set(module.__all__)
+        assert not [name for name in removed if hasattr(module, name)]

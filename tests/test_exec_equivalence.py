@@ -44,7 +44,6 @@ def _run_hub(
     workers: int | None = None,
     shards: int = 8,
     algorithm: str = "operb",
-    wire_format: str = "columnar",
 ) -> tuple[dict, dict]:
     """Replay ``records``; returns (per-device segments, checkpoint payload)."""
     sinks: dict[str, CollectingSink] = {}
@@ -60,7 +59,6 @@ def _run_hub(
         sink_factory=factory,
         backend=backend,
         workers=workers,
-        wire_format=wire_format,
     ) as hub:
         hub.push_many(records)
         hub.finish_all()
@@ -114,18 +112,9 @@ class TestHubEquivalence:
             records, backend="serial", algorithm=algorithm
         )
         reference_json = json.dumps(reference_payload, sort_keys=True, allow_nan=False)
-        for backend, wire_format in (
-            ("thread", "columnar"),
-            ("process", "columnar"),
-            ("node", "columnar"),
-            ("node", "jsonl"),
-        ):
+        for backend in ("thread", "process", "node"):
             segments, payload = _run_hub(
-                records,
-                backend=backend,
-                workers=workers,
-                algorithm=algorithm,
-                wire_format=wire_format,
+                records, backend=backend, workers=workers, algorithm=algorithm
             )
             assert segments == reference_segments
             assert json.dumps(payload, sort_keys=True, allow_nan=False) == reference_json

@@ -1,4 +1,5 @@
-"""Unit tests for the streaming pipeline, adapters and one-pass accounting."""
+"""Unit tests for raw streaming simplifiers, the buffered adapter, sinks and
+the one-pass emission properties."""
 
 from __future__ import annotations
 
@@ -6,19 +7,16 @@ import io
 
 import pytest
 
-from repro import InvalidParameterError, Point, SimplificationError, UnknownAlgorithmError
-from repro.api import get_descriptor, open_raw_stream
-from repro.metrics import check_error_bound
-from repro.streaming import (
-    BufferedBatchAdapter,
-    CollectingSink,
-    CountingPointSource,
-    CountingSimplifier,
-    CsvSegmentSink,
-    StatisticsSink,
-    StreamingPipeline,
-    run_pipeline,
+from repro import (
+    InvalidParameterError,
+    Point,
+    SimplificationError,
+    Simplifier,
+    UnknownAlgorithmError,
 )
+from repro.api import BufferedBatchAdapter, get_descriptor, open_raw_stream
+from repro.metrics import check_error_bound
+from repro.streaming import CollectingSink, CsvSegmentSink, StatisticsSink
 
 NATIVE_STREAMING = ("operb", "raw-operb", "operb-a", "raw-operb-a", "fbqs", "dead-reckoning")
 
@@ -26,6 +24,12 @@ NATIVE_STREAMING = ("operb", "raw-operb", "operb-a", "raw-operb-a", "fbqs", "dea
 def open_raw(name: str, epsilon: float, **kwargs):
     """Raw push/finish simplifier by name (native or buffered adapter)."""
     return open_raw_stream(get_descriptor(name), epsilon, **kwargs)
+
+
+def emissions(simplifier, points):
+    """Push ``points`` one at a time: (segments per push, finish() output)."""
+    per_push = [len(simplifier.push(point)) for point in points]
+    return per_push, simplifier.finish()
 
 
 class TestFactory:
@@ -45,31 +49,17 @@ class TestFactory:
 
 
 class TestOnePassAccounting:
-    def test_operb_touches_each_point_once(self, taxi_trajectory):
-        source = CountingPointSource(taxi_trajectory)
+    def test_operb_processes_each_point_once(self, taxi_trajectory):
         simplifier = open_raw("operb", 40.0)
-        for point in source:
-            simplifier.push(point)
-        simplifier.finish()
-        assert source.max_accesses == 1
-        assert source.total_accesses == len(taxi_trajectory)
+        emissions(simplifier, taxi_trajectory)
+        assert simplifier.stats.points_processed == len(taxi_trajectory)
 
     def test_operb_distance_computations_linear(self, taxi_trajectory):
         simplifier = open_raw("operb", 40.0)
-        for point in taxi_trajectory:
-            simplifier.push(point)
-        simplifier.finish()
+        emissions(simplifier, taxi_trajectory)
         # O(1) work per point: at most a small constant number of distance
         # computations for each of the n points.
         assert simplifier.stats.distance_computations <= 4 * len(taxi_trajectory)
-
-    def test_counting_simplifier_records_pushes(self, noisy_walk):
-        counting = CountingSimplifier(open_raw("operb", 25.0))
-        for point in noisy_walk:
-            counting.push(point)
-        counting.finish()
-        assert counting.pushes == len(noisy_walk)
-        assert counting.segments_emitted >= 1
 
 
 class TestBufferedAdapter:
@@ -108,53 +98,60 @@ class TestBufferedAdapter:
 
 class TestSinks:
     def test_collecting_sink(self, noisy_walk):
-        result = run_pipeline(noisy_walk, 25.0, algorithm="operb")
+        segments = Simplifier("operb", 25.0).run(noisy_walk).segments
         sink = CollectingSink(algorithm="operb")
-        for segment in result.representation.segments:
+        for segment in segments:
             sink.accept(segment)
-        assert sink.as_representation(len(noisy_walk)).n_segments == result.total_segments
+        assert sink.as_representation(len(noisy_walk)).n_segments == len(segments)
 
     def test_csv_sink_writes_rows(self, noisy_walk):
         buffer = io.StringIO()
-        result = run_pipeline(noisy_walk, 25.0, algorithm="operb")
+        segments = Simplifier("operb", 25.0).run(noisy_walk).segments
         with CsvSegmentSink(buffer) as sink:
-            for segment in result.representation.segments:
+            for segment in segments:
                 sink.accept(segment)
         lines = buffer.getvalue().strip().splitlines()
-        assert len(lines) == result.total_segments + 1
+        assert len(lines) == len(segments) + 1
 
     def test_statistics_sink(self, noisy_walk):
-        result = run_pipeline(noisy_walk, 25.0, algorithm="operb")
+        segments = Simplifier("operb", 25.0).run(noisy_walk).segments
         sink = StatisticsSink()
-        for segment in result.representation.segments:
+        for segment in segments:
             sink.accept(segment)
-        assert sink.segments_received == result.total_segments
-        assert sink.points_covered >= result.total_segments + 1
+        assert sink.segments_received == len(segments)
+        assert sink.points_covered >= len(segments) + 1
         assert sink.total_length > 0.0
 
 
-class TestPipeline:
-    def test_pipeline_result_structure(self, taxi_trajectory):
-        result = StreamingPipeline("operb", 40.0).run_trajectory(taxi_trajectory)
-        assert result.points_processed == len(taxi_trajectory)
-        assert result.total_segments == result.representation.n_segments
-        assert result.representation.source_size == len(taxi_trajectory)
-
+class TestEmission:
     def test_streaming_emits_most_segments_before_finish(self, taxi_trajectory):
-        result = run_pipeline(taxi_trajectory, 40.0, algorithm="operb")
+        with Simplifier("operb", 40.0).open_stream() as stream:
+            per_push, tail = emissions(stream, taxi_trajectory)
         # A one-pass algorithm emits continuously; only the trailing segment
         # or two wait for finish().
-        assert result.segments_after_finish <= 2
-        assert result.segments_before_finish >= result.total_segments - 2
+        assert len(tail) <= 2
+        assert sum(per_push) + len(tail) == stream.result().n_segments
+        assert stream.stats.points_processed == len(taxi_trajectory)
 
     def test_batch_adapter_emits_everything_at_finish(self, taxi_trajectory):
-        result = run_pipeline(taxi_trajectory, 40.0, algorithm="dp")
-        assert result.segments_before_finish == 0
-        assert result.segments_after_finish == result.total_segments
+        with Simplifier("dp", 40.0).open_stream() as stream:
+            per_push, tail = emissions(stream, taxi_trajectory)
+        assert sum(per_push) == 0
+        assert tail == list(stream.result().segments)
 
-    def test_pipeline_output_is_error_bounded(self, taxi_trajectory):
-        result = run_pipeline(taxi_trajectory, 40.0, algorithm="operb-a")
-        assert check_error_bound(taxi_trajectory, result.representation, 40.0)
+    def test_stream_result_structure(self, taxi_trajectory):
+        with Simplifier("operb", 40.0).open_stream() as stream:
+            stream.feed(taxi_trajectory)
+        result = stream.result()
+        assert stream.stats.points_processed == len(taxi_trajectory)
+        assert result.n_segments == len(result.segments)
+        assert result.source_size == len(taxi_trajectory)
+        assert result.algorithm == "operb"
+
+    def test_stream_output_is_error_bounded(self, taxi_trajectory):
+        with Simplifier("operb-a", 40.0).open_stream() as stream:
+            stream.feed(taxi_trajectory)
+        assert check_error_bound(taxi_trajectory, stream.result(), 40.0)
 
 
 class TestStreamingEdgeCases:
@@ -188,16 +185,13 @@ class TestStreamingEdgeCases:
         simplifier.finish()
         assert simplifier.finish() == []
 
-    def test_counting_simplifier_zero_segment_run(self):
-        counting = CountingSimplifier(open_raw("operb", 50.0))
+    def test_zero_segment_run_emits_only_at_finish(self):
+        simplifier = open_raw("operb", 50.0)
         # Two nearby points: everything is absorbed, a single trailing
         # segment appears only at finish.
-        assert counting.push(Point(0.0, 0.0, 0.0)) == []
-        assert counting.push(Point(1.0, 0.0, 1.0)) == []
-        assert counting.segments_emitted == 0
-        assert counting.max_segments_per_push == 0
-        counting.finish()
-        assert counting.segments_emitted == 1
+        assert simplifier.push(Point(0.0, 0.0, 0.0)) == []
+        assert simplifier.push(Point(1.0, 0.0, 1.0)) == []
+        assert len(simplifier.finish()) == 1
 
     def test_statistics_sink_zero_segment_run(self):
         sink = StatisticsSink()
@@ -215,19 +209,11 @@ class TestStreamingEdgeCases:
     def test_max_backlog_of_buffered_adapter(self, noisy_walk):
         # The buffered adapter is the max-backlog extreme: nothing is emitted
         # until finish(), when the whole compressed stream arrives at once.
-        counting = CountingSimplifier(open_raw("dp", 25.0))
-        for point in noisy_walk:
-            counting.push(point)
-        assert counting.segments_emitted == 0
-        assert counting.max_segments_per_push == 0
-        emitted = counting.finish()
-        assert len(emitted) == counting.segments_emitted
-        assert counting.segments_emitted >= 1
+        per_push, tail = emissions(open_raw("dp", 25.0), noisy_walk)
+        assert max(per_push) == 0
+        assert len(tail) >= 1
 
     def test_one_pass_backlog_stays_bounded(self, noisy_walk):
         # A one-pass algorithm never releases a large burst on a single push.
-        counting = CountingSimplifier(open_raw("operb", 25.0))
-        for point in noisy_walk:
-            counting.push(point)
-        counting.finish()
-        assert counting.max_segments_per_push <= 2
+        per_push, _ = emissions(open_raw("operb", 25.0), noisy_walk)
+        assert max(per_push) <= 2

@@ -34,6 +34,7 @@ from repro.geometry import kernels
 from repro.perf.workloads import build_device_log
 from repro.streaming import CollectingSink, StreamHub, restore_hub
 from repro.trajectory import PointBlock
+from repro.trajectory.blocks import BlockIngestMixin
 
 # Every error-bounded algorithm whose open_stream() sessions can snapshot:
 # the native streaming family plus batch-only ones behind the adapter.
@@ -525,6 +526,31 @@ class TestFinishedAndEmptyBlocks:
         stream.finish()
         with pytest.raises(SimplificationError):
             stream.push_block(PointBlock.empty())
+
+
+class TestBlockIngestMixin:
+    """The shared ``simplify`` of every block-capable native simplifier."""
+
+    @pytest.mark.parametrize("algorithm", BATCHED_NATIVE)
+    def test_simplify_matches_the_session_run(self, algorithm, noisy_walk):
+        raw = get_descriptor(algorithm).make_streaming(25.0)
+        assert isinstance(raw, BlockIngestMixin)
+        representation = raw.simplify(noisy_walk)
+        expected = Simplifier(algorithm, 25.0).run(noisy_walk)
+        assert representation.segments == expected.segments
+        assert representation.source_size == len(noisy_walk)
+        assert representation.algorithm == raw.name
+
+    @pytest.mark.parametrize("algorithm", BATCHED_NATIVE)
+    def test_simplify_requires_a_fresh_instance(self, algorithm, noisy_walk):
+        raw = get_descriptor(algorithm).make_streaming(25.0)
+        raw.push(Point(0.0, 0.0, 0.0))
+        with pytest.raises(SimplificationError, match="fresh simplifier"):
+            raw.simplify(noisy_walk)
+        finished = get_descriptor(algorithm).make_streaming(25.0)
+        finished.finish()
+        with pytest.raises(SimplificationError, match="fresh simplifier"):
+            finished.simplify(noisy_walk)
 
 
 class MinimalStreaming:

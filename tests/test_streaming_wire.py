@@ -137,7 +137,7 @@ class TestEnvelope:
 
 class TestRegistry:
     def test_every_registered_kind_has_a_codec_pair(self):
-        assert sorted(FRAME_TYPES) == [0x01, 0x02, 0x03, 0x04, 0x05]
+        assert sorted(FRAME_TYPES) == [0x01, 0x02, 0x04, 0x05]
         for frame_type in FRAME_TYPES.values():
             assert callable(frame_type.encode)
             assert callable(frame_type.decode)
@@ -158,11 +158,8 @@ class TestRegistry:
         with pytest.raises(WireFormatError, match="byte value"):
             register_frame(256, "wide", wire.encode_json, wire.decode_json)
 
-    def test_hub_formats_map_onto_point_batch_frames(self):
-        assert POINT_BATCH_FORMATS == {
-            "columnar": "point-batch",
-            "jsonl": "point-batch-jsonl",
-        }
+    def test_point_batch_formats_name_the_columnar_frame(self):
+        assert POINT_BATCH_FORMATS == {"columnar": "point-batch"}
 
 
 class TestStreamFraming:
@@ -261,11 +258,10 @@ class TestGroupRecords:
 
 class TestPointBatchFrames:
     @settings(**COMMON_SETTINGS)
-    @given(point_batches(), st.sampled_from(sorted(POINT_BATCH_FORMATS)))
-    def test_both_formats_round_trip_exactly(self, batch, fmt):
-        frame = POINT_BATCH_FORMATS[fmt]
-        name, decoded = decode_frame(encode_frame(frame, batch))
-        assert name == frame
+    @given(point_batches())
+    def test_round_trips_exactly(self, batch):
+        name, decoded = decode_frame(encode_frame("point-batch", batch))
+        assert name == "point-batch"
         assert_batches_equal(decoded, batch)
 
     def test_decoded_columns_are_writable_copies(self):
@@ -274,9 +270,17 @@ class TestPointBatchFrames:
         decoded[0][2].xs[0] = 99.0  # must not raise: not a frozen wire view
         assert decoded[0][2].xs[0] == 99.0
 
-    def test_empty_batch_round_trips_in_both_formats(self):
-        for frame in POINT_BATCH_FORMATS.values():
-            assert decode_frame(encode_frame(frame, [])) == (frame, [])
+    def test_empty_batch_round_trips(self):
+        assert decode_frame(encode_frame("point-batch", [])) == ("point-batch", [])
+
+    def test_retired_jsonl_frame_is_unknown(self):
+        # Kind 0x03 carried the removed point-batch-jsonl debug format.
+        with pytest.raises(WireFormatError, match="unknown frame type"):
+            encode_frame("point-batch-jsonl", [])
+        body = bytearray(encode_frame("point-batch", []))
+        body[3] = 0x03
+        with pytest.raises(WireFormatError, match="unknown frame kind 0x03"):
+            decode_frame(bytes(body))
 
     def test_truncated_column_is_rejected(self):
         body = encode_frame("point-batch", [(0, "d", block((1.0, 2.0, 3.0)))])
@@ -292,20 +296,6 @@ class TestPointBatchFrames:
         batch = [(0, "x" * 70_000, block((0.0, 0.0, 0.0)))]
         with pytest.raises(WireFormatError, match="device id too long"):
             encode_frame("point-batch", batch)
-
-    def test_malformed_jsonl_line_is_rejected(self):
-        body = encode_frame("point-batch-jsonl", [])[:4] + b"{broken"
-        with pytest.raises(WireFormatError, match="malformed point-batch-jsonl"):
-            decode_frame(body)
-
-    def test_jsonl_payload_is_line_per_device(self):
-        batch = [
-            (3, "a", block((1.0, 2.0, 3.0))),
-            (1, "b", block((4.0, 5.0, 6.0))),
-        ]
-        lines = encode_frame("point-batch-jsonl", batch)[4:].decode("utf-8").split("\n")
-        assert [json.loads(line)["device"] for line in lines] == ["a", "b"]
-        assert [json.loads(line)["shard"] for line in lines] == [3, 1]
 
 
 class TestSegmentBatchFrame:
