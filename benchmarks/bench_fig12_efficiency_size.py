@@ -1,9 +1,11 @@
 """Figure 12 (Exp-1.1) — running time vs. trajectory size at zeta = 40 m.
 
 The pytest-benchmark comparison table is the figure: algorithms are grouped
-per dataset/size, so their relative ordering (OPERB/OPERB-A fastest, then
-FBQS, then DP) and their scaling with the trajectory size can be read off
-directly.
+per dataset/size, so their relative ordering and their scaling with the
+trajectory size can be read off directly.  The paper ranks OPERB/OPERB-A
+fastest, then FBQS, then DP; measured here OPERB beats FBQS, and the
+NumPy-vectorised DP is faster than OPERB at zeta = 40 (see the README's
+"Efficiency vs the paper").
 """
 
 from __future__ import annotations

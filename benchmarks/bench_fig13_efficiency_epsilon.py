@@ -29,10 +29,11 @@ def test_fig13_table(benchmark, bench_datasets, results_dir):
         iterations=1,
     )
     # OPERB must beat FBQS (the fastest existing LS baseline) on every dataset
-    # and error bound.  DP is compared in EXPERIMENTS.md only: its inner loop
-    # is NumPy-vectorised while the one-pass algorithms run point-by-point in
-    # pure Python, so at laptop scale DP enjoys a constant-factor advantage
-    # that the paper's Java implementations do not have.
+    # and error bound.  DP is compared in the README's "Efficiency vs the
+    # paper" section only: its inner loop is NumPy-vectorised while the
+    # one-pass algorithms run point-by-point in pure Python, so at laptop
+    # scale DP enjoys a constant-factor advantage that the paper's Java
+    # implementations do not have.
     for dataset in bench_datasets:
         for epsilon in (10.0, 40.0, 100.0):
             rows = {

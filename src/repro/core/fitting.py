@@ -25,11 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ..geometry.angles import normalize_angle
-from ..geometry.kernels import (
-    anchored_ped_point,
-    radial_length_point,
-    rotation_sign_components,
-)
+from ..geometry.kernels import zero_vector_rotation_sign
 from ..geometry.point import Point, decode_point, encode_point
 
 __all__ = ["PointOutcome", "FittingState", "zone_index", "rotation_sign"]
@@ -167,57 +163,17 @@ class FittingState:
         return state
 
     # ------------------------------------------------------------------ #
-    # Geometry helpers
-    # ------------------------------------------------------------------ #
-    def _distance_to_fitted_line(self, point: Point) -> float:
-        """Distance from ``point`` to the line through the anchor along ``theta``.
-
-        Routed through the scalar anchored-PED kernel — the streaming
-        one-point path stays scalar by construction (O(1) state, one point
-        at a time), independent of the kernel backend flag.
-        """
-        self.stats.distance_computations += 1
-        return anchored_ped_point(
-            point.x, point.y, self.anchor.x, self.anchor.y, self.theta
-        )
-
-    def _distance_to_last_active_line(self, point: Point) -> float:
-        """Distance from ``point`` to the line anchor -> last active point (``R_a``)."""
-        self.stats.distance_computations += 1
-        return anchored_ped_point(
-            point.x, point.y, self.anchor.x, self.anchor.y, self.last_active_theta
-        )
-
-    def _deviation_acceptable(self, deviation: float, sign: int) -> bool:
-        """Check the per-point deviation budget (plain or optimisation 2)."""
-        if self.config.opt_two_sided_deviation:
-            plus = self.d_plus_max
-            minus = self.d_minus_max
-            if sign > 0:
-                plus = max(plus, deviation)
-            else:
-                minus = max(minus, deviation)
-            return plus + minus <= self.config.epsilon
-        return deviation <= self.config.half_epsilon
-
-    def _record_deviation(self, deviation: float, sign: int) -> None:
-        """Update the running one-sided maxima used by optimisations 2 and 3."""
-        if sign > 0:
-            if deviation > self.d_plus_max:
-                self.d_plus_max = deviation
-        else:
-            if deviation > self.d_minus_max:
-                self.d_minus_max = deviation
-
-    # ------------------------------------------------------------------ #
     # Main entry point
     # ------------------------------------------------------------------ #
     def observe(self, point: Point) -> PointOutcome:
         """Offer ``point`` to the fitting state and report the outcome.
 
-        The point is examined exactly once; at most three scalar distance
-        computations are performed, which is what gives OPERB its ``O(n)``
-        time and ``O(1)`` space behaviour.
+        The point is examined exactly once; at most two scalar distance
+        computations are performed (the fitted line and, for inactive points,
+        the line to the last active point ``R_a``), which is what gives OPERB
+        its ``O(n)`` time and ``O(1)`` space behaviour.  The method is one
+        straight-line pass over float locals: it runs once per fix on both
+        the streaming and the batch path.
 
         The radial length uses ``sqrt(dx*dx + dy*dy)`` and the rotation sign
         is decided from the cross/dot components of the radial vector (see
@@ -227,110 +183,106 @@ class FittingState:
         identical IEEE operations on whole arrays, so the batched ingest
         path reproduces these per-point decisions bit for bit.
         """
-        self.stats.points_observed += 1
-        dx = point.x - self.anchor.x
-        dy = point.y - self.anchor.y
-        r_len = radial_length_point(dx, dy)
+        config = self.config
+        epsilon = config.epsilon
+        stats = self.stats
+        stats.points_observed += 1
+        anchor = self.anchor
+        dx = point.x - anchor.x
+        dy = point.y - anchor.y
+        r_len = math.sqrt(dx * dx + dy * dy)
 
-        if not self.has_direction:
-            # No active point yet: L is still the zero-length segment at Ps.
-            if r_len > self.config.first_active_threshold:
-                self._become_first_active(point, r_len, self._radial_direction(dx, dy))
-                self.stats.active_points += 1
-                return PointOutcome.ACTIVE
-            # Every line through Ps is within r_len <= threshold <= zeta of P.
-            self.stats.inactive_points += 1
+        has_direction = self.has_direction
+        if has_direction:
+            theta = self.theta
+            cos_t = math.cos(theta)
+            sin_t = math.sin(theta)
+            cross = cos_t * dy - sin_t * dx
+            dot = cos_t * dx + sin_t * dy
+            deviation = abs(cross)
+            stats.distance_computations += 1
+            # The paper's sign function f(R, L) from the cross/dot signs; a
+            # zero radial vector has dot == 0, so its convention is only
+            # consulted there.
+            if dot > 0.0:
+                positive = cross >= 0.0
+            elif dot < 0.0:
+                positive = cross <= 0.0
+            elif dx == 0.0 and dy == 0.0:
+                positive = zero_vector_rotation_sign(theta) > 0
+            else:
+                positive = cross > 0.0
+
+            # Deviation budget: zeta/2 per point, or (optimisation 2) the two
+            # running one-sided maxima together within zeta.
+            d_plus = self.d_plus_max
+            d_minus = self.d_minus_max
+            if positive:
+                if deviation > d_plus:
+                    d_plus = deviation
+            elif deviation > d_minus:
+                d_minus = deviation
+            if config.opt_two_sided_deviation:
+                acceptable = d_plus + d_minus <= epsilon
+            else:
+                acceptable = deviation <= 0.5 * epsilon
+            if not acceptable:
+                stats.violations += 1
+                return PointOutcome.VIOLATION
+
+            # The activity tests are written as "> bound" so that a NaN
+            # distance, like any other non-active one, stays inactive.
+            if not r_len - self.length > 0.25 * epsilon:
+                # Case 1 of F (inactive): L stays; P must also lie near the
+                # line through the anchor and the last active point R_a.
+                stats.distance_computations += 1
+                last_theta = self.last_active_theta
+                if abs(math.cos(last_theta) * dy - math.sin(last_theta) * dx) > epsilon:
+                    stats.violations += 1
+                    return PointOutcome.VIOLATION
+                self.d_plus_max = d_plus
+                self.d_minus_max = d_minus
+                stats.inactive_points += 1
+                return PointOutcome.ABSORBED
+            self.d_plus_max = d_plus
+            self.d_minus_max = d_minus
+        elif not r_len > (epsilon if config.opt_first_active_threshold else 0.25 * epsilon):
+            # No active point yet and every line through Ps is within
+            # r_len <= threshold <= zeta of P: L stays the zero-length segment.
+            stats.inactive_points += 1
             return PointOutcome.ABSORBED
 
-        is_active = (r_len - self.length) > self.config.quarter_epsilon
-        cos_t = math.cos(self.theta)
-        sin_t = math.sin(self.theta)
-        cross = cos_t * dy - sin_t * dx
-        deviation = abs(cross)
-        self.stats.distance_computations += 1
-        sign = rotation_sign_components(
-            cross, cos_t * dx + sin_t * dy, dx, dy, self.theta
-        )
-
-        if not is_active:
-            if not self._deviation_acceptable(deviation, sign):
-                self.stats.violations += 1
-                return PointOutcome.VIOLATION
-            if self._distance_to_last_active_line(point) > self.config.epsilon:
-                self.stats.violations += 1
-                return PointOutcome.VIOLATION
-            self._record_deviation(deviation, sign)
-            self.stats.inactive_points += 1
-            return PointOutcome.ABSORBED
-
-        if not self._deviation_acceptable(deviation, sign):
-            self.stats.violations += 1
-            return PointOutcome.VIOLATION
-        self._record_deviation(deviation, sign)
-        self._advance_active(point, r_len, self._radial_direction(dx, dy), deviation, sign)
-        self.stats.active_points += 1
-        return PointOutcome.ACTIVE
-
-    @staticmethod
-    def _radial_direction(dx: float, dy: float) -> float:
-        """Direction of the radial vector in ``[0, 2*pi)`` (zero vector -> 0).
-
-        Only active points need the actual angle (for the rotation update);
-        absorbed points are classified without ``atan2``, which is what the
-        block kernels vectorize.
-        """
-        r_theta = math.atan2(dy, dx) if (dx != 0.0 or dy != 0.0) else 0.0
+        # P is active, so r_len > 0 and its direction is well defined.
+        r_theta = math.atan2(dy, dx)
         if r_theta < 0.0:
             r_theta += 2.0 * math.pi
-        return r_theta
-
-    # ------------------------------------------------------------------ #
-    # Fitting function cases
-    # ------------------------------------------------------------------ #
-    def _become_first_active(self, point: Point, r_len: float, r_theta: float) -> None:
-        """Case 2 of ``F``: the first active point fixes the initial direction."""
-        j = max(1, zone_index(r_len, self.config.epsilon))
-        self.length = j * self.config.half_epsilon
-        self.theta = r_theta
-        self.has_direction = True
-        self.last_active_point = point
-        self.last_active_theta = r_theta
-        self.last_active_zone = j
-
-    def _advance_active(
-        self, point: Point, r_len: float, r_theta: float, deviation: float, sign: int
-    ) -> None:
-        """Case 3 of ``F``: rotate ``L`` towards the new active point.
-
-        The rotation is ``arcsin(d / (j zeta/2)) / j`` in the raw algorithm;
-        optimisation 3 may substitute the running one-sided maximum deviation
-        (never rotating further than ``arcsin(d / (j zeta/2))``), and
-        optimisation 4 multiplies by the number of zones skipped since the
-        previous active point.
-        """
-        j = max(1, zone_index(r_len, self.config.epsilon))
-        half_len = j * self.config.half_epsilon
-
-        if self.config.opt_missing_zone_compensation:
-            delta_zones = max(1, j - self.last_active_zone)
+        j = max(1, math.ceil(2.0 * r_len / epsilon - 0.5))
+        half_len = j * (0.5 * epsilon)
+        if has_direction:
+            # Case 3 of F: rotate L towards P by arcsin(d / (j zeta/2)) / j.
+            # Optimisation 3 substitutes the running one-sided maximum
+            # deviation, capped at the undivided arcsin of P's own deviation;
+            # optimisation 4 multiplies by the number of zones skipped since
+            # the previous active point.
+            if config.opt_missing_zone_compensation:
+                delta_zones = max(1, j - self.last_active_zone)
+            else:
+                delta_zones = 1
+            if config.opt_aggressive_rotation:
+                # The one-sided maximum already includes P's own deviation.
+                rotation_deviation = d_plus if positive else d_minus
+            else:
+                rotation_deviation = deviation
+            rotation = math.asin(min(1.0, rotation_deviation / half_len)) * (delta_zones / j)
+            rotation = min(rotation, math.asin(min(1.0, deviation / half_len)))
+            self.theta = normalize_angle(theta + rotation if positive else theta - rotation)
         else:
-            delta_zones = 1
-
-        if self.config.opt_aggressive_rotation:
-            side_max = self.d_plus_max if sign > 0 else self.d_minus_max
-            rotation_deviation = max(deviation, side_max)
-        else:
-            rotation_deviation = deviation
-
-        ratio = min(1.0, rotation_deviation / half_len)
-        base_ratio = min(1.0, deviation / half_len)
-        rotation = math.asin(ratio) * (delta_zones / j)
-        # Optimisation 3's cap: never rotate past the undivided arcsin of the
-        # actual deviation of the current point.
-        rotation = min(rotation, math.asin(base_ratio))
-
-        self.theta = normalize_angle(self.theta + sign * rotation)
+            # Case 2 of F: the first active point fixes the initial direction.
+            self.theta = r_theta
+            self.has_direction = True
         self.length = half_len
         self.last_active_point = point
         self.last_active_theta = r_theta
         self.last_active_zone = j
+        stats.active_points += 1
+        return PointOutcome.ACTIVE

@@ -71,6 +71,21 @@ class _AbsorptionState:
     segment: SegmentRecord
     absorbed: int = 0
 
+    def credit(self, count: int, covered_last_index: int) -> None:
+        """Credit ``count`` more absorbed points, covered up to ``covered_last_index``."""
+        segment = self.segment
+        self.absorbed += count
+        self.segment = SegmentRecord(
+            start=segment.start,
+            end=segment.end,
+            first_index=segment.first_index,
+            last_index=segment.last_index,
+            point_count=segment.point_count + count,
+            covered_last_index=covered_last_index,
+            patched_start=segment.patched_start,
+            patched_end=segment.patched_end,
+        )
+
 
 class OPERBSimplifier(SegmentCascadeMixin, BlockIngestMixin):
     """Streaming OPERB simplifier.
@@ -134,13 +149,6 @@ class OPERBSimplifier(SegmentCascadeMixin, BlockIngestMixin):
         index = self._index
         self.stats.points_processed += 1
         emitted: list[SegmentRecord] = []
-
-        if self._segment is None and self._absorption is None:
-            # Very first point of the stream.
-            self._start_segment(point, index)
-            self._previous_point = point
-            return emitted
-
         if self._absorption is not None:
             if self._try_absorb(point, index):
                 self._previous_point = point
@@ -148,8 +156,22 @@ class OPERBSimplifier(SegmentCascadeMixin, BlockIngestMixin):
             emitted.append(self._end_absorption())
             # Fall through: the point is processed in the fresh segment below.
 
-        assert self._segment is not None  # for type-checkers; guaranteed above
-        self._process_in_segment(point, index, emitted)
+        segment = self._segment
+        if segment is None:
+            # Very first point of the stream.
+            self._start_segment(point, index)
+        elif segment.points_in_segment >= self.config.max_points_per_segment:
+            self.stats.forced_breaks += 1
+            self._break_segment(point, index, emitted)
+        else:
+            outcome = segment.fitting.observe(point)
+            if outcome is PointOutcome.VIOLATION:
+                self._break_segment(point, index, emitted)
+            else:
+                if outcome is PointOutcome.ACTIVE:
+                    segment.last_active = point
+                    segment.last_active_index = index
+                segment.points_in_segment += 1
         self._previous_point = point
         return emitted
 
@@ -205,10 +227,7 @@ class OPERBSimplifier(SegmentCascadeMixin, BlockIngestMixin):
         self.stats.points_processed += count
         self.stats.distance_computations += count
         self.stats.absorbed_points += count
-        absorption.absorbed += count
-        absorption.segment = absorption.segment.with_point_count(
-            absorption.segment.point_count + count
-        ).with_covered_last_index(self._index)
+        absorption.credit(count, self._index)
         self._previous_point = block.point(start + count - 1)
 
     def _bulk_inactive(self, block: "PointBlock", start: int, stop: int) -> int:
@@ -441,48 +460,32 @@ class OPERBSimplifier(SegmentCascadeMixin, BlockIngestMixin):
         self._segment = None
         return record
 
-    def _process_in_segment(
+    def _break_segment(
         self, point: Point, index: int, emitted: list[SegmentRecord]
     ) -> None:
-        """Feed ``point`` to the open segment, closing it if necessary."""
-        segment = self._segment
-        assert segment is not None
-        cap_exceeded = segment.points_in_segment >= self.config.max_points_per_segment
-        if cap_exceeded:
-            self.stats.forced_breaks += 1
-            outcome = PointOutcome.VIOLATION
+        """Close the open segment at ``point`` and feed it to the next one."""
+        record = self._finalize_segment()
+        if self.config.opt_absorb_trailing_points:
+            self._absorption = _AbsorptionState(segment=record)
+            if self._try_absorb(point, index):
+                return
+            emitted.append(self._end_absorption())
         else:
-            outcome = segment.fitting.observe(point)
-
-        if outcome is PointOutcome.VIOLATION:
-            record = self._finalize_segment()
-            if self.config.opt_absorb_trailing_points:
-                self._absorption = _AbsorptionState(segment=record)
-                if self._try_absorb(point, index):
-                    return
-                emitted.append(self._end_absorption())
-            else:
-                emitted.append(self._register(record))
-                self._start_segment(record.end, record.last_index)
-            # The breaking point is the first point of the fresh segment; a
-            # fresh fitting state can never report a violation for it.
-            fresh = self._segment
-            assert fresh is not None
-            fresh_outcome = fresh.fitting.observe(point)
-            if fresh_outcome is PointOutcome.VIOLATION:
-                raise SimplificationError(
-                    "fresh segment rejected its first point; this is a bug"
-                )
-            if fresh_outcome is PointOutcome.ACTIVE:
-                fresh.last_active = point
-                fresh.last_active_index = index
-            fresh.points_in_segment += 1
-            return
-
-        if outcome is PointOutcome.ACTIVE:
-            segment.last_active = point
-            segment.last_active_index = index
-        segment.points_in_segment += 1
+            emitted.append(self._register(record))
+            self._start_segment(record.end, record.last_index)
+        # The breaking point is the first point of the fresh segment; a
+        # fresh fitting state can never report a violation for it.
+        fresh = self._segment
+        assert fresh is not None
+        fresh_outcome = fresh.fitting.observe(point)
+        if fresh_outcome is PointOutcome.VIOLATION:
+            raise SimplificationError(
+                "fresh segment rejected its first point; this is a bug"
+            )
+        if fresh_outcome is PointOutcome.ACTIVE:
+            fresh.last_active = point
+            fresh.last_active_index = index
+        fresh.points_in_segment += 1
 
     def _try_absorb(self, point: Point, index: int) -> bool:
         """Optimisation 5: try to absorb ``point`` into the pending segment."""
@@ -495,11 +498,8 @@ class OPERBSimplifier(SegmentCascadeMixin, BlockIngestMixin):
         )
         if distance > self.config.epsilon:
             return False
-        absorption.absorbed += 1
         self.stats.absorbed_points += 1
-        absorption.segment = segment.with_point_count(
-            segment.point_count + 1
-        ).with_covered_last_index(index)
+        absorption.credit(1, index)
         return True
 
     def _end_absorption(self) -> SegmentRecord:

@@ -3,7 +3,10 @@
 The paper varies ``zeta`` from 10 m to 100 m over the entire datasets and
 reports running times.  The expected shape: run time is largely insensitive
 to ``zeta`` (decreasing slightly as ``zeta`` grows), OPERB/OPERB-A are the
-fastest, DP the slowest and the most sensitive.
+fastest, DP the slowest and the most sensitive.  Measured here, OPERB beats
+FBQS on every dataset and ``zeta``, but the NumPy-vectorised DP is faster
+than the point-by-point one-pass algorithms except at small ``zeta`` on
+dense traffic (see the README's "Efficiency vs the paper").
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Every experiment module exposes a ``run(...) -> ExperimentResult`` function.
 An :class:`ExperimentResult` is a small self-describing table (columns plus
 rows of dictionaries) so the same object can be printed by the benchmarks,
-dumped to markdown for ``EXPERIMENTS.md`` or inspected programmatically.
+dumped to markdown (see the README's "Efficiency vs the paper") or inspected
+programmatically.
 """
 
 from __future__ import annotations

@@ -503,9 +503,8 @@ rediscovering dense phases (e.g. GeoLife's walking legs) quickly.
 
 def _prefix_from_mask(blocked: np.ndarray) -> int:
     """Index of the first True in ``blocked``, or its length when all False."""
-    if not blocked.any():
-        return int(blocked.shape[0])
-    return int(np.argmax(blocked))
+    first = int(np.argmax(blocked))
+    return first if blocked[first] else int(blocked.shape[0])
 
 
 def prefix_within_radius(xs, ys, ax: float, ay: float, radius: float) -> int:
@@ -572,17 +571,26 @@ def operb_fitting_prefix(
         dxs = xs - ax
         dys = ys - ay
         with np.errstate(over="ignore", invalid="ignore"):
+            # Conditions (a) and (c) need no running state: the run ends at
+            # the first point failing either, so the deviation budget's
+            # running maxima are only computed over the points before it.
             r_len = np.sqrt(dxs * dxs + dys * dys)
+            blocked = ((r_len - length) > quarter_epsilon) | (
+                np.abs(cos_l * dys - sin_l * dxs) > epsilon
+            )
+            stop = _prefix_from_mask(blocked)
+            if stop == 0:
+                return 0, d_plus, d_minus
+            dxs = dxs[:stop]
+            dys = dys[:stop]
             cross = cos_t * dys - sin_t * dxs
             dot = cos_t * dxs + sin_t * dys
             deviation = np.abs(cross)
-            active = (r_len - length) > quarter_epsilon
-            positive = np.where(
-                dot > 0.0, cross >= 0.0, np.where(dot < 0.0, cross <= 0.0, cross > 0.0)
-            )
-            zero = (dxs == 0.0) & (dys == 0.0)
-            if zero.any():
-                positive = np.where(zero, zero_vector_rotation_sign(theta) > 0, positive)
+            # The sign rule of rotation_sign_components, except where
+            # cross == 0 (including the zero radial vector): there the
+            # deviation is 0, which leaves either non-negative running
+            # maximum unchanged, so the side it is recorded on is moot.
+            positive = (cross >= 0.0) ^ (dot < 0.0)
             plus_run = np.maximum(
                 np.maximum.accumulate(np.where(positive, deviation, -math.inf)), d_plus
             )
@@ -593,9 +601,7 @@ def operb_fitting_prefix(
                 acceptable = (plus_run + minus_run) <= epsilon
             else:
                 acceptable = deviation <= half_epsilon
-            last_deviation = np.abs(cos_l * dys - sin_l * dxs)
-            blocked = active | ~acceptable | (last_deviation > epsilon)
-        count = _prefix_from_mask(blocked)
+        count = _prefix_from_mask(~acceptable)
         if count == 0:
             return 0, d_plus, d_minus
         return count, float(plus_run[count - 1]), float(minus_run[count - 1])

@@ -21,6 +21,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["Trajectory"]
 
+_ITER_CHUNK = 4096
+"""Points converted per column chunk while iterating a trajectory."""
+
 
 class Trajectory:
     """An immutable sequence of trajectory data points.
@@ -183,8 +186,15 @@ class Trajectory:
         return Point(float(self._xs[index]), float(self._ys[index]), float(self._ts[index]))
 
     def __iter__(self) -> Iterator[Point]:
-        for i in range(len(self)):
-            yield Point(float(self._xs[i]), float(self._ys[i]), float(self._ts[i]))
+        # Columns are converted to Python floats a chunk at a time: one
+        # ``tolist()`` per column instead of three numpy-scalar conversions
+        # per point, without materialising a huge trajectory as lists.
+        for start in range(0, len(self), _ITER_CHUNK):
+            stop = start + _ITER_CHUNK
+            xs = self._xs[start:stop].tolist()
+            ys = self._ys[start:stop].tolist()
+            ts = self._ts[start:stop].tolist()
+            yield from map(Point, xs, ys, ts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trajectory):
