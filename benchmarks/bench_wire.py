@@ -33,6 +33,7 @@ import numpy as np
 import pytest
 
 from repro.perf.workloads import build_device_log
+from repro.streaming import shard_index
 from repro.streaming.wire import decode_frame, encode_frame, group_records
 
 REQUIRED_SPEEDUP = 3.0
@@ -52,7 +53,7 @@ constrained_host = pytest.mark.skipif(
 def shipped_records():
     """One hub-shaped batch: interleaved per-device records, shard-tagged."""
     log = build_device_log("taxi", N_DEVICES, POINTS_PER_DEVICE, seed=2017)
-    return [(hash(device) % SHARDS, device, point) for device, point in log]
+    return [(shard_index(device, SHARDS), device, point) for device, point in log]
 
 
 def _best_wall(function, repeats: int) -> float:

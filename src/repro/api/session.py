@@ -142,25 +142,12 @@ class StreamSession:
         block protocol (``descriptor.batched``, or any batch-only algorithm
         behind the buffered adapter) run their vectorized fast path; others
         fall back to a correct per-point loop.  An empty block is a cheap
-        no-op that touches no statistics.
+        no-op that touches no statistics.  The flattened form of
+        :meth:`iter_block`.
         """
-        if self._finished:
-            raise SimplificationError(
-                f"cannot push to a finished {self.algorithm!r} stream session"
-            )
-        n = len(block)
-        if n == 0:
-            return []
-        native = getattr(self._raw, "push_block", None)
-        if native is not None:
-            emitted = list(native(block))
-        else:
-            emitted = []
-            for _, segments in iter_block_steps(self._raw, block):
-                emitted.extend(segments)
-        self._pushes += n
-        if self._keep_segments:
-            self._segments.extend(emitted)
+        emitted: list[SegmentRecord] = []
+        for _, segments in self.iter_block(block):
+            emitted.extend(segments)
         return emitted
 
     def push_segment(
@@ -195,8 +182,7 @@ class StreamSession:
         Each step ingests ``count`` further points, the last of which
         finalised ``segments`` (empty for silent runs).  This is the form
         the streaming hub drives so per-push accounting (lag, burst sizes)
-        stays byte-identical to per-point ingest; :meth:`push_block` is the
-        flattened convenience wrapper.
+        stays byte-identical to per-point ingest.
         """
         if self._finished:
             raise SimplificationError(

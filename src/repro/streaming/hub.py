@@ -24,16 +24,14 @@ backends are contractually equivalent: the same device log produces
 byte-identical per-device segments and byte-identical checkpoints, a
 property the test suite locks in.
 
-Concurrent workers ingest in *blocks*: every ``push_many`` batch a worker
-receives (``block_size`` records, default :data:`DEFAULT_BLOCK_SIZE`) is
-regrouped into per-device :class:`~repro.trajectory.PointBlock` SoA blocks
-and fed through the simplifiers' ``push_block`` fast path, so shard workers
-run the vectorized prefix kernels of :mod:`repro.geometry.kernels` instead
-of per-point Python — which both cuts the GIL-bound interpreter work per
-record and is what finally lets the thread backend beat serial on hub
-ingest for dense streams.  The block boundary is invisible downstream:
-per-device segments, statistics and checkpoint payloads are byte-identical
-to per-point routing (the serial backend's reference path).
+Every fix reaches its device stream through one shard-core routine.  The
+serial backend feeds it record by record, in arrival order; concurrent
+backends group each ``block_size``-record buffer per device once
+(:func:`~repro.streaming.wire.group_points`) and ship the groups, a single
+``push`` as a one-record batch.  A multi-fix group runs the vectorized
+prefix kernels of :mod:`repro.geometry.kernels` instead of per-point
+Python; the group boundary is invisible downstream (byte-identical
+per-device segments, statistics and checkpoints).
 
 Capabilities:
 
@@ -54,7 +52,8 @@ Capabilities:
 - **error isolation** — a device stream that raises is quarantined and
   recorded as a :class:`DeviceError`, mirroring the fleet executor's
   per-trajectory isolation, instead of sinking the hub (or its sibling
-  shards);
+  shards).  Fixes for a quarantined or finished device count as dropped
+  (``"raise"`` mode refuses them); a finished device stays finished;
 - **checkpoint/restore** — :meth:`StreamHub.checkpoint` barriers every
   shard, then serialises every live stream via the simplifiers'
   ``snapshot()`` protocol into one JSON-serialisable payload;
@@ -96,7 +95,7 @@ from ..trajectory.piecewise import SegmentRecord
 from ..trajectory.soa import PointBlock
 from .pyramid import PyramidSession, validate_epsilon_ladder
 from .sinks import SegmentSink, close_sink, flush_sink
-from .wire import POINT_BATCH_FRAME, decode_frame, encode_frame, group_records
+from .wire import POINT_BATCH_FRAME, decode_frame, encode_frame, group_points, group_records
 
 __all__ = [
     "DeviceError",
@@ -123,15 +122,13 @@ Single-epsilon hubs keep stamping format 1 byte-identically, and
 :meth:`StreamHub.from_checkpoint` reads both."""
 
 DEFAULT_BLOCK_SIZE = 512
-"""Default records buffered per actor before ``push_many`` flushes a batch.
+"""Default records a concurrent shard worker buffers before ``push_many``
+ships a batch (the serial backend ingests record by record).
 
-Each flushed batch is regrouped by the receiving shard worker into
-per-device :class:`~repro.trajectory.PointBlock` SoA blocks, so this is also
-the upper bound on the block sizes the vectorized ingest kernels see (a
-device's share of a batch is what actually forms its block).  Larger values
-amortise more per-record overhead and give the kernels longer runs at the
-cost of ingest latency; tune via ``StreamHub(block_size=...)`` /
-``serve-replay --block-size``.
+Each batch is grouped per device, so this also bounds the block sizes the
+vectorized ingest kernels see.  Larger values amortise more per-record
+overhead at the cost of ingest latency; tune via
+``StreamHub(block_size=...)`` / ``serve-replay --block-size``.
 """
 
 
@@ -140,9 +137,15 @@ def shard_index(device_id: str, n_shards: int) -> int:
 
     Python's builtin ``hash`` is salted per process, which would scatter a
     restored hub's devices onto different shards than the checkpointing one;
-    CRC32 keeps the layout reproducible.
+    CRC32 keeps the layout reproducible.  Every device id enters the hub
+    through here, so a non-``str`` id is rejected here, before it changes
+    any state, on every backend.
     """
-    return zlib.crc32(str(device_id).encode("utf-8")) % n_shards
+    if not isinstance(device_id, str):
+        raise InvalidParameterError(
+            f"device ids must be str, got {type(device_id).__name__} {device_id!r}"
+        )
+    return zlib.crc32(device_id.encode("utf-8")) % n_shards
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,14 +189,15 @@ class HubStats:
     sink_failures: int = 0
     """Sinks detached after raising (segments stopped reaching them)."""
     batches_shipped: int = 0
-    """``push_many`` batches handed to shard workers (0 on the serial
-    backend, whose reference path routes per point)."""
+    """Batches handed to shard workers, a single ``push`` counting as one
+    (0 on the serial backend, which routes record by record)."""
     bytes_shipped: int = 0
     """Encoded wire-frame bytes shipped to shard workers.  Non-zero only on
     backends that cross a serialization boundary (process, node); the
     thread backend shares memory and ships object references."""
     frames_decoded: int = 0
-    """Wire frames decoded by the shard workers (process/node backends)."""
+    """Wire frames decoded by the shard workers (process/node backends),
+    one per shipped batch, single pushes included."""
     epsilons: list[float] | None = None
     """The hub's pyramid ladder, finest first (``None`` on single-epsilon hubs)."""
     segments_by_level: list[int] | None = None
@@ -286,39 +290,36 @@ class DeviceStream:
         if count:
             self.lag = 0
 
-    def push(self, point: Point) -> list[SegmentRecord]:
-        """Feed one fix; returns the segments it finalised."""
-        emitted = self.session.push(point)
-        self.points_pushed += 1
-        self.lag += 1
+    def ingest(
+        self, fixes: Sequence[Point] | PointBlock, emitted: list[SegmentRecord]
+    ) -> None:
+        """Feed one group of fixes, appending the segments it finalised.
+
+        A one-fix group takes the session's scalar ``push``, a longer one
+        its traced ``iter_block``.  The counters advance step by step as
+        under per-point pushes (so checkpoints are byte-identical whatever
+        the grouping), and when the stream raises mid-group the consumed
+        prefix is already counted and in ``emitted``.
+        """
+        if len(fixes) == 1:
+            self._advance(1, self.session.push(fixes[0]), emitted)
+            return
+        block = fixes if isinstance(fixes, PointBlock) else PointBlock.from_points(fixes)
+        for count, segments in self.session.iter_block(block):
+            self._advance(count, segments, emitted)
+
+    def _advance(
+        self, count: int, segments: list[SegmentRecord], emitted: list[SegmentRecord]
+    ) -> None:
+        """Account one traced step: ``count`` pushes, the last of which
+        finalised ``segments``."""
+        self.points_pushed += count
+        self.lag += count
         if self.lag > self.max_lag:
             self.max_lag = self.lag
-        self._account(emitted)
-        return emitted
-
-    def iter_block(self, block: PointBlock) -> Iterator[tuple[int, list[SegmentRecord]]]:
-        """Feed a block of fixes, yielding traced ``(count, segments)`` steps.
-
-        Driving the session's traced steps lets the per-device backpressure
-        counters (lag, max lag, burst size) evolve exactly as they would
-        under per-point :meth:`push` — each step covers ``count`` pushes of
-        which only the last emitted — so checkpoints stay byte-identical
-        whichever ingest form fed the device.
-        """
-        for count, emitted in self.session.iter_block(block):
-            self.points_pushed += count
-            self.lag += count
-            if self.lag > self.max_lag:
-                self.max_lag = self.lag
-            self._account(emitted)
-            yield count, emitted
-
-    def push_block(self, block: PointBlock) -> list[SegmentRecord]:
-        """Feed a block of fixes; returns all segments it finalised."""
-        emitted: list[SegmentRecord] = []
-        for _, segments in self.iter_block(block):
+        if segments:
+            self._account(segments)
             emitted.extend(segments)
-        return emitted
 
     def finish(self) -> list[SegmentRecord]:
         """Flush the stream; returns the trailing segments."""
@@ -435,10 +436,8 @@ class _ShardCore:
     # ------------------------------------------------------------------ #
     def handle(self, message: tuple):
         kind = message[0]
-        if kind == "push":
-            return self.push(*message[1:])
-        if kind == "push_batch":
-            return self.push_batch(message[1])
+        if kind == "push_groups":
+            return self.push_groups(message[1])
         if kind == "push_frame":
             return self.push_frame(message[1])
         if kind == "register":
@@ -522,10 +521,18 @@ class _ShardCore:
             )
         )
 
-    def push(
-        self, shard_i: int, device_id: str, point: Point
-    ) -> tuple[list[SegmentRecord], bool]:
-        """Route one fix; returns ``(emitted segments, counted?)``."""
+    def _ingest(
+        self, shard_i: int, device_id: str, fixes: Sequence[Point] | PointBlock
+    ) -> tuple[list[SegmentRecord], int]:
+        """Route one device's group of fixes: the one way a fix reaches a stream.
+
+        Returns ``(emitted segments, fixes counted as pushed)``.  A
+        quarantined or finished device drops the group, so consumed ==
+        points_pushed + dropped holds (what replay resumption uses).  A
+        stream that raises mid-group keeps its consumed prefix, is
+        quarantined and drops the rest of the group — in ``"raise"`` mode
+        all but the failing fix — exactly as per-fix routing would.
+        """
         shard = self.shards[shard_i]
         device = shard.devices.get(device_id)
         if device is None:
@@ -537,125 +544,56 @@ class _ShardCore:
                 f"registration — hub/worker device sets are out of sync"
             )
         if device.error is not None:
-            # Quarantined: count the point as dropped so consumed ==
-            # points_pushed + dropped holds (what replay resumption uses).
-            # In serial "raise" mode the hub raises before dispatching here.
-            device.dropped_points += 1
-            return [], False
+            device.dropped_points += len(fixes)
+            return [], 0
+        emitted: list[SegmentRecord] = []
+        before = device.points_pushed
+        failure: Exception | None = None
         try:
-            emitted = device.push(point)
+            device.ingest(fixes, emitted)
         except Exception as error:  # noqa: BLE001 — isolation is the contract
-            self._record_failure(device, error)
-            if self._config.on_error == "collect":
-                # The failing point was consumed but produced nothing.
-                device.dropped_points += 1
-            return [], False
-        shard.points_pushed += 1
+            if device.finished:
+                # A finished session refuses every fix before touching any
+                # state; that refusal is a drop, not a stream failure.
+                device.dropped_points += len(fixes)
+                return [], 0
+            failure = error
+        consumed = device.points_pushed - before
+        shard.points_pushed += consumed
         if emitted:
             self._emit(("segments", device_id, emitted))
             if device.pyramid:
                 self._emit_levels(device)
-        return emitted, True
+        if failure is not None:
+            self._record_failure(device, failure)
+            dropped = len(fixes) - consumed
+            device.dropped_points += (
+                dropped if self._config.on_error == "collect" else dropped - 1
+            )
+        return emitted, consumed
 
-    def push_batch(self, records: list[tuple[int, str, Point]]) -> None:
-        """Ingest one shipped batch, regrouped into per-device SoA blocks.
+    def push_groups(
+        self, groups: Iterable[tuple[int, str, Sequence[Point] | PointBlock]]
+    ) -> None:
+        """Ingest one shipped batch of per-device groups (see ``group_points``).
 
-        Arrival order *within* each device is preserved (which is all the
-        simplifier state depends on), so per-device segments, statistics and
-        checkpoints are byte-identical to per-point routing; only the
-        cross-device interleaving of sink deliveries changes, which the hub
-        has never guaranteed across backends.  Single-point groups skip the
-        block machinery.
+        Within-device arrival order is all the simplifier state depends on;
+        only the cross-device order of sink deliveries differs from per-fix
+        routing, which the hub has never guaranteed across backends.
         """
-        grouped: dict[str, list[Point]] = {}
-        shard_of: dict[str, int] = {}
-        for shard_i, device_id, point in records:
-            bucket = grouped.get(device_id)
-            if bucket is None:
-                grouped[device_id] = [point]
-                shard_of[device_id] = shard_i
-            else:
-                bucket.append(point)
-        for device_id, points in grouped.items():
-            if len(points) == 1:
-                self.push(shard_of[device_id], device_id, points[0])
-            else:
-                self.push_block(shard_of[device_id], device_id, PointBlock.from_points(points))
+        for shard_i, device_id, fixes in groups:
+            self._ingest(shard_i, device_id, fixes)
         return None
 
     def push_frame(self, body: bytes) -> None:
-        """Ingest one encoded point-batch wire frame (see :mod:`.wire`).
-
-        The columnar twin of :meth:`push_batch`: the parent already grouped
-        the records (same first-appearance device order, same within-device
-        arrival order) and shipped them as ``float64`` columns, so the
-        decoded blocks route through exactly the paths ``push_batch`` would
-        take — per-device segments, statistics and checkpoints stay
-        byte-identical to every other ingest route.
-        """
+        """Ingest one encoded point-batch wire frame (see :mod:`.wire`)."""
         name, groups = decode_frame(body)
         if name != POINT_BATCH_FRAME:
             raise SimplificationError(
                 f"shard worker received a {name!r} frame on the ingest path"
             )
         self.frames_decoded += 1
-        for shard_i, device_id, block in groups:
-            if len(block) == 1:
-                self.push(shard_i, device_id, block.point(0))
-            else:
-                self.push_block(shard_i, device_id, block)
-        return None
-
-    def push_block(
-        self, shard_i: int, device_id: str, block: PointBlock
-    ) -> list[SegmentRecord]:
-        """Route a block of fixes to one device stream.
-
-        Matches :meth:`push`'s quarantine and accounting semantics point for
-        point: a failure mid-block quarantines the device, counts the
-        already-ingested prefix as pushed, and counts the failing point and
-        the rest of the block as dropped exactly as per-point routing would.
-        """
-        shard = self.shards[shard_i]
-        device = shard.devices.get(device_id)
-        if device is None:
-            raise SimplificationError(
-                f"device {device_id!r} reached shard {shard_i} without "
-                f"registration — hub/worker device sets are out of sync"
-            )
-        if device.error is not None:
-            device.dropped_points += len(block)
-            return []
-        emitted: list[SegmentRecord] = []
-        consumed = 0
-        try:
-            for count, segments in device.iter_block(block):
-                consumed += count
-                if segments:
-                    emitted.extend(segments)
-        except Exception as error:  # noqa: BLE001 — isolation is the contract
-            shard.points_pushed += consumed
-            if emitted:
-                self._emit(("segments", device_id, emitted))
-                if device.pyramid:
-                    self._emit_levels(device)
-            self._record_failure(device, error)
-            remaining = len(block) - consumed
-            if self._config.on_error == "collect":
-                # The failing point was consumed but produced nothing, and
-                # the rest of the block hits the quarantine branch.
-                device.dropped_points += remaining
-            else:
-                # In "raise" mode the failing push itself is not dropped;
-                # the points after it are.
-                device.dropped_points += remaining - 1
-            return []
-        shard.points_pushed += consumed
-        if emitted:
-            self._emit(("segments", device_id, emitted))
-            if device.pyramid:
-                self._emit_levels(device)
-        return emitted
+        return self.push_groups(groups)
 
     def finish_device(self, shard_i: int, device_id: str) -> list[SegmentRecord]:
         shard = self.shards[shard_i]
@@ -859,12 +797,11 @@ class StreamHub:
         worker owns the shard slice ``[worker::n_workers]``).  Defaults to
         the backend's own default (CPU count).
     block_size:
-        Records buffered per shard worker before ``push_many`` ships a
-        batch (default :data:`DEFAULT_BLOCK_SIZE`).  Shard workers regroup
-        each batch into per-device SoA point blocks and drive the
-        simplifiers' vectorized ``push_block`` path, so a device's share of
-        a batch is the block size its kernels see.  Purely an execution
-        knob: any value produces byte-identical per-device segments and
+        Records a concurrent shard worker buffers before ``push_many``
+        ships a batch (default :data:`DEFAULT_BLOCK_SIZE`; the serial
+        backend ingests record by record).  A device's share of a batch is
+        the block its vectorized kernels see.  Purely an execution knob:
+        any value produces byte-identical per-device segments and
         checkpoints.
     """
 
@@ -959,6 +896,8 @@ class StreamHub:
         self.bytes_shipped = 0
         self._known: set[str] = set()
         self._failed: set[str] = set()
+        self._finished: set[str] = set()
+        """Devices asked to finish; in ``"raise"`` mode their fixes are refused."""
         self._sinks: dict[str, SegmentSink | None] = {}
         self._sinks_closed = False
         self._raise_cursor = 0
@@ -988,13 +927,12 @@ class StreamHub:
         return shard_i % self._n_actors
 
     def _ship_batch(self, actor: int, buffer: list[tuple[int, str, Point]]) -> None:
-        """Hand one buffered ``push_many`` batch to its shard worker.
+        """Group one buffered batch per device and hand it to its shard worker.
 
-        In-process backends pass the record list by reference; process and
-        node workers receive the batch as one columnar wire frame (grouped
-        into per-device ``float64`` columns by :func:`~.wire.group_records`,
-        replicating exactly the regrouping ``push_batch`` performs), which
-        the socket transport ships raw — no pickle on the hot path.
+        In-process backends pass the :func:`~.wire.group_points` groups by
+        reference; process and node workers receive the same groups as one
+        columnar wire frame (:func:`~.wire.group_records`), which the socket
+        transport ships raw — no pickle on the hot path.
         """
         self.batches_shipped += 1
         if self._crosses_process:
@@ -1002,7 +940,7 @@ class StreamHub:
             self.bytes_shipped += len(frame)
             self._group.tell(actor, ("push_frame", frame))
         else:
-            self._group.tell(actor, ("push_batch", buffer))
+            self._group.tell(actor, ("push_groups", group_points(buffer)))
 
     def _on_actor_event(self, actor: int, event: tuple) -> None:
         """Route one shard-worker event (serialised by the actor group)."""
@@ -1082,11 +1020,6 @@ class StreamHub:
             f"{error.error_type}: {error.message}"
         )
 
-    def _error_for(self, device_id: str) -> DeviceError:
-        return next(
-            error for error in reversed(self.errors) if error.device_id == device_id
-        )
-
     def _record_sink_failure(
         self, device_id: str, error: Exception, message: str, *, level: int | None = None
     ) -> None:
@@ -1111,10 +1044,6 @@ class StreamHub:
                 ),
             )
         )
-
-    def _register_parent(self, device_id: str) -> None:
-        self._known.add(device_id)
-        self._attach_sink(device_id)
 
     def _attach_sink(self, device_id: str) -> None:
         """Create/route the device's sink (runs caller-supplied code)."""
@@ -1368,10 +1297,12 @@ class StreamHub:
         Raises
         ------
         InvalidParameterError
-            If the device is already registered, or the per-device
-            configuration is invalid (unknown algorithm/options, bad
-            epsilon) — configuration fails fast, before any point arrives.
+            If ``device_id`` is not a ``str``, the device is already
+            registered, or the per-device configuration is invalid (unknown
+            algorithm/options, bad epsilon) — configuration fails fast,
+            before any point arrives.
         """
+        shard_i = shard_index(device_id, self._n_shards)
         if device_id in self._known:
             raise InvalidParameterError(
                 f"device {device_id!r} is already registered with this hub"
@@ -1383,18 +1314,42 @@ class StreamHub:
                 "per-device overrides are not supported on a pyramid hub; "
                 "every device shares the hub-wide epsilons=[...] ladder"
             )
-        shard_i = shard_index(device_id, self._n_shards)
-        actor = self._actor_of(shard_i)
-        self._group.ask(
-            actor, ("register", shard_i, device_id, algorithm, epsilon, dict(opts))
-        )
-        self._register_parent(device_id)
+        self._open_device(shard_i, device_id, algorithm, epsilon, opts)
         # The ask round-trip guarantees the registration was processed, so
         # the new entry is readable without a group-wide barrier.
-        core = self._group.handler(actor)
+        core = self._group.handler(self._actor_of(shard_i))
         if core is None:
             return None
         return core.shards[shard_i].devices[device_id]
+
+    def _open_device(
+        self,
+        shard_i: int,
+        device_id: str,
+        algorithm: str | None = None,
+        epsilon: float | None = None,
+        opts: dict | None = None,
+    ) -> None:
+        """Register ``device_id`` on its shard worker, then attach its sinks."""
+        self._group.ask(
+            self._actor_of(shard_i),
+            ("register", shard_i, device_id, algorithm, epsilon, dict(opts or {})),
+        )
+        self._known.add(device_id)
+        self._attach_sink(device_id)
+
+    def _refuse_closed(self, device_id: str) -> None:
+        """``"raise"`` mode: refuse a fix for a quarantined or finished device."""
+        if device_id in self._failed:
+            error = next(e for e in reversed(self.errors) if e.device_id == device_id)
+            raise SimplificationError(
+                f"device {device_id!r} is quarantined after "
+                f"{error.error_type}: {error.message}"
+            )
+        if device_id in self._finished:
+            raise SimplificationError(
+                f"device {device_id!r} is finished; its stream accepts no more fixes"
+            )
 
     # ------------------------------------------------------------------ #
     # Ingest
@@ -1403,52 +1358,48 @@ class StreamHub:
         """Route one fix to its device stream (registering it on first sight).
 
         On the serial backend, returns the segments this push finalised
-        (already routed to the device's sink); concurrent backends route
-        asynchronously and return ``[]`` (sinks still receive every
-        segment).  A device that raised earlier is quarantined — its stream
-        state is not trusted again: in ``"collect"`` mode its points are
-        counted as dropped and ``[]`` is returned; in ``"raise"`` mode a
-        :class:`SimplificationError` naming the original failure is raised
-        (only the first failing push propagates the original exception,
-        synchronously on serial, at the next hub call on concurrent
-        backends).
+        (already routed to the device's sink); concurrent backends ship the
+        fix as a one-record batch and return ``[]`` (sinks still receive
+        every segment).  A device that raised earlier is quarantined — its
+        stream state is not trusted again — and a finished device accepts
+        no more fixes: in ``"collect"`` mode their fixes are counted as
+        dropped, in ``"raise"`` mode a :class:`SimplificationError` names
+        the quarantine or the finished stream.  Only the first failing push
+        propagates the original exception, synchronously on serial, at the
+        next hub call on concurrent backends.  A non-``str`` ``device_id``
+        raises :class:`InvalidParameterError` before any state changes.
         """
         shard_i = shard_index(device_id, self._n_shards)
-        actor = self._actor_of(shard_i)
         if self._concurrent:
             self._surface_new_failures()
         if device_id not in self._known:
-            self._group.ask(actor, ("register", shard_i, device_id, None, None, {}))
-            self._register_parent(device_id)
-        elif device_id in self._failed and self.on_error == "raise":
-            error = self._error_for(device_id)
-            raise SimplificationError(
-                f"device {device_id!r} is quarantined after "
-                f"{error.error_type}: {error.message}"
-            )
+            self._open_device(shard_i, device_id)
+        elif self.on_error == "raise":
+            self._refuse_closed(device_id)
         if self._concurrent:
-            self._group.tell(actor, ("push", shard_i, device_id, point))
+            self._ship_batch(self._actor_of(shard_i), [(shard_i, device_id, point)])
             return []
         if self._group.closed:  # the fast path must not outlive close()
             raise ExecutionError("actor group is closed")
-        emitted, counted = self._serial_core.push(shard_i, device_id, point)
-        if counted:
-            self.points_pushed += 1
+        emitted, consumed = self._serial_core._ingest(shard_i, device_id, (point,))
+        self.points_pushed += consumed
         self._surface_new_failures()
         return emitted
 
     def push_many(self, records: Iterable[tuple[str, Point]]) -> int:
         """Route a batch of ``(device_id, point)`` records.
 
-        Returns the number of segments emitted on the serial backend;
-        concurrent backends ingest asynchronously (records are shipped to
-        the shard workers in ``block_size``-record batches, which each
-        worker regroups into per-device SoA blocks for the simplifiers'
-        vectorized ``push_block`` path) and return ``0`` — read
-        ``stats().segments_emitted`` after a synchronising call instead.
-        The serial backend stays on the per-point reference path, which is
-        also what keeps its ``on_error="raise"`` semantics (raise at the
-        failing record, later records untouched) exact.
+        The serial backend pushes record by record, in arrival order, and
+        returns the number of segments emitted.  That loop stays on
+        purpose: grouping per device first would make a shared sink's
+        cross-device order depend on where batches split (so a resumed hub
+        would no longer replay byte-identically into one), and it keeps
+        ``on_error="raise"`` exact (later records untouched).  Concurrent
+        backends ship ``block_size``-record batches grouped per device,
+        ingest asynchronously and return ``0`` — read
+        ``stats().segments_emitted`` after a synchronising call.  A
+        non-``str`` device id raises :class:`InvalidParameterError` at its
+        record; the records before it are ingested on every backend.
         """
         if not self._concurrent:
             emitted = 0
@@ -1460,41 +1411,29 @@ class StreamHub:
         buffers: list[list[tuple[int, str, Point]]] = [
             [] for _ in range(self._n_actors)
         ]
-
-        def flush_all() -> None:
+        raising = self.on_error == "raise"
+        try:
+            for device_id, point in records:
+                shard_i = shard_index(device_id, self._n_shards)
+                actor = self._actor_of(shard_i)
+                if device_id not in self._known:
+                    self._surface_new_failures()
+                    self._open_device(shard_i, device_id)
+                elif raising:
+                    self._refuse_closed(device_id)
+                buffer = buffers[actor]
+                buffer.append((shard_i, device_id, point))
+                if len(buffer) >= self._block_size:
+                    buffers[actor] = []
+                    self._ship_batch(actor, buffer)
+        finally:
+            # Also on a raise: the records preceding the failing one are
+            # ingested exactly as they would have been serially.
             for actor, buffer in enumerate(buffers):
                 if buffer:
-                    self._ship_batch(actor, buffer)
                     buffers[actor] = []
-
-        for device_id, point in records:
-            shard_i = shard_index(device_id, self._n_shards)
-            actor = self._actor_of(shard_i)
-            if device_id not in self._known:
-                # Ship the buffered records before surfacing: a failure
-                # raising here must not strand other devices' buffered
-                # points, exactly as in the quarantine branch below.
-                flush_all()
-                self._surface_new_failures()
-                self._group.ask(actor, ("register", shard_i, device_id, None, None, {}))
-                self._register_parent(device_id)
-            elif device_id in self._failed and self.on_error == "raise":
-                # Same quarantine contract as push() and the serial path —
-                # but ship the already-buffered records first, so the
-                # records preceding the quarantined one are ingested exactly
-                # as they would have been serially.
-                flush_all()
-                error = self._error_for(device_id)
-                raise SimplificationError(
-                    f"device {device_id!r} is quarantined after "
-                    f"{error.error_type}: {error.message}"
-                )
-            buffers[actor].append((shard_i, device_id, point))
-            if len(buffers[actor]) >= self._block_size:
-                self._ship_batch(actor, buffers[actor])
-                buffers[actor] = []
-        flush_all()
-        if self.on_error == "raise":
+                    self._ship_batch(actor, buffer)
+        if raising:
             # Deterministic raise semantics: drain this call's own batches
             # so a device failure inside them surfaces here, not at some
             # later call (or never, if the caller goes straight to close()).
@@ -1514,6 +1453,7 @@ class StreamHub:
         emitted = self._group.ask(
             self._actor_of(shard_i), ("finish_device", shard_i, device_id)
         )
+        self._finished.add(device_id)
         self._surface_new_failures()
         return emitted
 
@@ -1533,6 +1473,7 @@ class StreamHub:
         for shard_i in range(self._n_shards):
             for device_id, emitted in by_shard.get(shard_i, []):
                 result[device_id] = emitted
+        self._finished.update(self._known)
         # The flush already drained every mailbox; refresh the hub-level
         # counters so they are authoritative on return, as documented.
         self._sync()
@@ -1742,6 +1683,8 @@ class StreamHub:
                 # raising caller-supplied sink_factory must not be relabelled
                 # as a malformed checkpoint.
                 hub._known.add(device_id)
+                if entry.get("finished"):
+                    hub._finished.add(device_id)
                 restored_ids.append(device_id)
                 recomputed[shard_i] += int(entry["stats"]["points_pushed"])
                 failure = entry.get("failed")

@@ -69,6 +69,7 @@ __all__ = [
     "decode_frame",
     "pack_frame",
     "read_frame",
+    "group_points",
     "group_records",
     "encode_json",
     "decode_json",
@@ -240,13 +241,14 @@ def decode_json(body: bytes) -> Any:
 # ---------------------------------------------------------------------- #
 # point-batch — the ingest hot path
 # ---------------------------------------------------------------------- #
-def group_records(records: Iterable[tuple[int, str, Point]]) -> PointBatch:
-    """Group shipped ``(shard, device, point)`` records into SoA blocks.
+def group_points(
+    records: Iterable[tuple[int, str, Point]],
+) -> list[tuple[int, str, list[Point]]]:
+    """Group shipped ``(shard, device, point)`` records per device.
 
-    First-appearance device order and within-device arrival order are both
-    preserved — the exact regrouping ``push_batch`` performs on the
-    in-process backends, done here on the parent side so the process and
-    node backends can put the columns straight onto their sockets.
+    Keeps first-appearance device order and within-device arrival order.
+    The hub's one grouping loop: in-process shard workers receive these
+    groups, and :func:`group_records` packs them for the wire.
     """
     grouped: dict[str, list[Point]] = {}
     shard_of: dict[str, int] = {}
@@ -258,8 +260,17 @@ def group_records(records: Iterable[tuple[int, str, Point]]) -> PointBatch:
         else:
             bucket.append(point)
     return [
-        (shard_of[device_id], device_id, PointBlock.from_points(points))
+        (shard_of[device_id], device_id, points)
         for device_id, points in grouped.items()
+    ]
+
+
+def group_records(records: Iterable[tuple[int, str, Point]]) -> PointBatch:
+    """:func:`group_points` with each group packed into a :class:`PointBlock`,
+    ready for the point-batch frame."""
+    return [
+        (shard_i, device_id, PointBlock.from_points(points))
+        for shard_i, device_id, points in group_points(records)
     ]
 
 

@@ -300,6 +300,10 @@ class PointBlock(TrajectoryArray):
             return self._points[index]
         return super().point(index)
 
+    def __getitem__(self, index: int) -> Point:
+        """``block[i]`` is :meth:`point`: a block indexes like a point sequence."""
+        return self.point(index)
+
     def slice(self, start: int, stop: int) -> "PointBlock":
         """Sub-block view of ``[start, stop)`` (no array copy)."""
         block = type(self)(self.xs[start:stop], self.ys[start:stop], self.ts[start:stop])

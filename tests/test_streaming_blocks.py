@@ -347,6 +347,80 @@ class TestHubBlockFailureAccounting:
         assert bad_entry["stats"]["points_pushed"] == 2
         assert bad_entry["stats"]["dropped_points"] == 8
 
+    @pytest.mark.parametrize(
+        ("backend", "ingest"),
+        [
+            ("serial", "push"),
+            ("thread", "push"),
+            ("thread", "push_many"),
+            ("process", "push"),
+            ("process", "push_many"),
+            ("node", "push"),
+            ("node", "push_many"),
+        ],
+    )
+    def test_ingest_forms_match_the_serial_reference(self, exploding, backend, ingest):
+        """Per-record ``push`` and ``push_many`` on every backend reproduce the
+        serial ``push_many`` reference byte for byte, on batches that mix
+        one-fix and multi-fix device groups and a device that fails in the
+        middle of its group."""
+        log = build_device_log("taxi", 6, 24, seed=11)
+        per_device: dict[str, list[Point]] = {}
+        for device_id, point in log:
+            per_device.setdefault(device_id, []).append(point)
+        # Device k reports (k % 3) + 1 fixes per round, so every shipped
+        # batch holds groups of one, two and three fixes.  The failing
+        # device leads with a ten-fix burst and dies on its third fix.
+        traffic = [("bad", Point(float(j), 0.0, float(j))) for j in range(10)]
+        cursors = {device_id: 0 for device_id in per_device}
+        while cursors:
+            for k, device_id in enumerate(list(cursors)):
+                start = cursors[device_id]
+                chunk = per_device[device_id][start : start + k % 3 + 1]
+                traffic.extend((device_id, point) for point in chunk)
+                cursors[device_id] = start + len(chunk)
+                if cursors[device_id] == len(per_device[device_id]):
+                    del cursors[device_id]
+
+        def run(run_backend, run_ingest):
+            sinks: dict[str, CollectingSink] = {}
+
+            def factory(device_id):
+                sinks[device_id] = CollectingSink()
+                return sinks[device_id]
+
+            with StreamHub(
+                algorithm="operb",
+                epsilon=40.0,
+                shards=4,
+                sink_factory=factory,
+                on_error="collect",
+                backend=run_backend,
+                workers=2,
+                block_size=16,
+            ) as hub:
+                hub.register_device("bad", algorithm=exploding)
+                if run_ingest == "push":
+                    for device_id, point in traffic:
+                        hub.push(device_id, point)
+                else:
+                    hub.push_many(traffic)
+                hub.finish_all()
+                payload = json.dumps(hub.checkpoint(), sort_keys=True, allow_nan=False)
+                stats = hub.stats()
+            segments = {device: sink.segments for device, sink in sinks.items()}
+            return segments, payload, [error.device_id for error in hub.errors], stats
+
+        reference = run("serial", "push_many")
+        segments, payload, errors, stats = run(backend, ingest)
+        assert segments == reference[0]
+        assert payload == reference[1]
+        assert errors == reference[2] == ["bad"]
+        assert stats.dropped_points == 8
+        if backend != "serial" and ingest == "push":
+            # A single concurrent push ships as a one-record batch.
+            assert stats.batches_shipped == len(traffic)
+
     @pytest.fixture
     def firmware_bug_operb(self):
         """A *batched* simplifier that fails on one specific fix.
@@ -723,6 +797,8 @@ class TestPointBlock:
         block = PointBlock.from_points(points)
         assert len(block) == 2
         assert block.point(0) == points[0]
+        assert block[1] == points[1]
+        assert PointBlock(block.xs, block.ys, block.ts)[1] == points[1]
         assert list(block) == points
 
     def test_from_trajectory_is_zero_copy(self):

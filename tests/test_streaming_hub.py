@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro import CheckpointError, InvalidParameterError, Point
+from repro import CheckpointError, InvalidParameterError, Point, SimplificationError
 from repro.api import register_algorithm, unregister_algorithm
 from repro.streaming import (
     CollectingSink,
@@ -783,6 +783,79 @@ class TestHubBackends:
             hub.checkpoint()
         assert stats.points_pushed == 600
         assert any("sink rejected segments" in error.message for error in hub.errors)
+
+
+class TestFinishedDevicesAndDeviceIds:
+    """Fixes for finished devices are drops, and ids are checked at the edge."""
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "node"])
+    @pytest.mark.parametrize("restored", [False, True], ids=["live", "restored"])
+    def test_fixes_after_finish_are_dropped_not_quarantined(self, backend, restored):
+        def late(j):
+            return Point(float(j), 1.0, float(100 + j))
+
+        hub = StreamHub(
+            algorithm="operb", epsilon=40.0, shards=4, backend=backend, workers=2
+        )
+        for j in range(20):
+            hub.push_many([("cab-1", Point(float(j), 0.0, float(j))),
+                           ("cab-2", Point(0.0, float(j), float(j)))])
+        hub.finish_all()
+        if restored:
+            payload = json.loads(json.dumps(hub.checkpoint(), allow_nan=False))
+            hub.close()
+            hub = restore_hub(payload, backend=backend, workers=2)
+        with hub:
+            hub.push("cab-1", late(0))
+            hub.push_many([("cab-1", late(j)) for j in range(1, 4)])
+            stats = hub.stats()
+            entry = next(
+                entry for entry in hub.checkpoint()["devices"]
+                if entry["device_id"] == "cab-1"
+            )
+        assert hub.errors == []
+        assert stats.failed == 0
+        assert stats.finished == stats.devices == 2
+        assert stats.dropped_points == 4
+        assert stats.points_pushed == 40
+        assert entry["finished"] is True
+        assert entry["failed"] is None
+        assert entry["stats"]["dropped_points"] == 4
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "node"])
+    def test_raise_mode_refuses_fixes_for_a_finished_device(self, backend):
+        with StreamHub(
+            algorithm="operb", epsilon=40.0, on_error="raise", backend=backend, workers=2
+        ) as hub:
+            for j in range(10):
+                hub.push("cab-1", Point(float(j), 0.0, float(j)))
+            hub.finish_device("cab-1")
+            with pytest.raises(SimplificationError, match="'cab-1' is finished"):
+                hub.push("cab-1", Point(99.0, 0.0, 99.0))
+            with pytest.raises(SimplificationError, match="'cab-1' is finished"):
+                hub.push_many([("cab-1", Point(99.0, 0.0, 99.0))])
+            stats = hub.stats()
+        assert hub.errors == []
+        assert (stats.failed, stats.finished, stats.dropped_points) == (0, 1, 0)
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "node"])
+    def test_non_str_device_ids_are_rejected_before_any_state_changes(self, backend):
+        point = Point(0.0, 0.0, 0.0)
+        with StreamHub(epsilon=40.0, backend=backend, workers=2) as hub:
+            for bad_id in (7, None, b"x"):
+                with pytest.raises(InvalidParameterError, match="device ids must be str"):
+                    hub.push(bad_id, point)
+                with pytest.raises(InvalidParameterError, match="device ids must be str"):
+                    hub.push_many([(bad_id, point)])
+                with pytest.raises(InvalidParameterError, match="device ids must be str"):
+                    hub.register_device(bad_id)
+            assert len(hub) == 0
+            assert hub.stats().devices == 0
+            # The records before the bad one are ingested, as serially.
+            with pytest.raises(InvalidParameterError):
+                hub.push_many([("cab-1", point), (7, Point(1.0, 0.0, 1.0))])
+            stats = hub.stats()
+        assert (stats.devices, stats.points_pushed) == (1, 1)
 
 
 class TestPointLog:
