@@ -3,7 +3,7 @@
 Asserts that streaming ``push_block`` ingest beats per-point ``push`` by at
 least 5x on a 10k-point stream whose shape favours batching: the idle-heavy
 fleet workload (short driving bursts, long stationary dwells at full
-reporting cadence — the ``blocks`` perf suite's traffic).  Dwell phases form
+reporting cadence — ``repro.perf.workloads.build_idle_fleet``).  Dwell phases form
 long absorbable runs that the vectorized prefix kernels consume in one call
 each; the guard fails when the block path silently degrades to per-point
 work (e.g. a kernel regression or a broken probe policy).
@@ -14,19 +14,14 @@ deliberately does *not* gate run-poor workloads — there the block path's
 contract is "no worse than per-point" (adaptive scalar backoff), which
 ``test_sparse_stream_overhead_is_bounded`` checks with a loose factor.
 
-Skipped on constrained hosts: single-core machines, or when
-``REPRO_SKIP_SPEEDUP_ASSERT=1`` is set (for emulated/overloaded
-environments where wall-clock ratios are meaningless).
-``REPRO_FORCE_SPEEDUP_ASSERT=1`` overrides the skip either way.
+Skipped on constrained hosts (see ``_bench_utils.constrained_host``).
 """
 
 from __future__ import annotations
 
-import os
-import time
-
 import pytest
 
+from _bench_utils import constrained_host, median_ratio, timed
 from repro.api import Simplifier
 from repro.datasets import generate_trajectory
 from repro.perf.workloads import IDLE_FLEET_PROFILE, PerfCase, build_idle_fleet
@@ -37,13 +32,7 @@ MAX_SPARSE_SLOWDOWN = 1.5
 N_POINTS = 10_000
 BLOCK_SIZE = 4_096
 EPSILON = 40.0
-
-_forced = os.environ.get("REPRO_FORCE_SPEEDUP_ASSERT") == "1"
-constrained_host = pytest.mark.skipif(
-    not _forced
-    and (os.environ.get("REPRO_SKIP_SPEEDUP_ASSERT") == "1" or (os.cpu_count() or 1) < 2),
-    reason="constrained host: wall-clock speedup ratios are not meaningful",
-)
+PAIRS = 5
 
 
 @pytest.fixture(scope="module")
@@ -63,15 +52,6 @@ def sparse_stream():
     return points, PointBlock.from_points(points).split(BLOCK_SIZE)
 
 
-def _best_wall(function, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
 def _measured_speedup(algorithm: str, points, blocks) -> float:
     session = Simplifier(algorithm, EPSILON)
 
@@ -87,9 +67,7 @@ def _measured_speedup(algorithm: str, points, blocks) -> float:
             stream.push_block(block)
         stream.finish()
 
-    scalar = _best_wall(per_point, repeats=3)
-    block = _best_wall(per_block, repeats=3)
-    return scalar / block
+    return median_ratio(timed(per_point), timed(per_block), PAIRS)
 
 
 @constrained_host

@@ -17,22 +17,18 @@ before the shard core's ingest paths were merged into one routine and
 1.33-1.40 after; making that routine (``_ShardCore._ingest``) take twice as
 long pushes it to 2.9-3.0.  A same-run ratio cancels the host's speed, so
 the guard needs no committed baseline — it is the same-run stand-in for
-the ``repro.perf`` suite's serial hub cells.
+the serial hub cells of the retired ``repro.perf`` baseline.
 
-Skipped on constrained hosts: single-core machines, or when
-``REPRO_SKIP_SPEEDUP_ASSERT=1`` is set (for emulated/overloaded
-environments where wall-clock ratios are meaningless).
-``REPRO_FORCE_SPEEDUP_ASSERT=1`` overrides the skip either way.
+Skipped on constrained hosts (see ``_bench_utils.constrained_host``).
 """
 
 from __future__ import annotations
 
-import os
-import statistics
 import time
 
 import pytest
 
+from _bench_utils import constrained_host, median_ratio
 from repro.api import Simplifier
 from repro.perf.workloads import build_device_log
 from repro.streaming import CollectingSink, StreamHub
@@ -42,13 +38,6 @@ N_DEVICES = 24
 POINTS_PER_DEVICE = 200
 EPSILON = 40.0
 PAIRS = 15
-
-_forced = os.environ.get("REPRO_FORCE_SPEEDUP_ASSERT") == "1"
-constrained_host = pytest.mark.skipif(
-    not _forced
-    and (os.environ.get("REPRO_SKIP_SPEEDUP_ASSERT") == "1" or (os.cpu_count() or 1) < 2),
-    reason="constrained host: wall-clock speedup ratios are not meaningful",
-)
 
 
 @pytest.fixture(scope="module")
@@ -91,24 +80,9 @@ def _bare_run(ticks) -> tuple[float, dict[str, list]]:
     return time.perf_counter() - started, emitted
 
 
-def _overhead_ratio(ticks) -> float:
-    """Median hub/bare time ratio over back-to-back pairs of runs.
-
-    Each pair runs both routes within ~0.1 s, so host load that drifts
-    between pairs hits both sides of a ratio alike; the median drops the
-    pairs a load spike split.
-    """
-    ratios = []
-    for _ in range(PAIRS):
-        hub = _hub_run(ticks)[0]
-        bare = _bare_run(ticks)[0]
-        ratios.append(hub / bare)
-    return statistics.median(ratios)
-
-
 @constrained_host
 def test_hub_per_fix_overhead_is_bounded(ticks):
-    ratio = _overhead_ratio(ticks)
+    ratio = median_ratio(lambda: _hub_run(ticks)[0], lambda: _bare_run(ticks)[0], PAIRS)
     assert ratio < MAX_OVERHEAD_RATIO, (
         f"serial hub push_many takes {ratio:.2f}x the bare session time per fix "
         f"on {N_DEVICES} taxi devices (allowed {MAX_OVERHEAD_RATIO}x)"

@@ -6,31 +6,20 @@ enormous in practice (two orders of magnitude), so the assertion only fails
 when vectorization is genuinely broken — e.g. a kernel silently falling back
 to the scalar loop.
 
-Skipped on constrained hosts: single-core machines, or when
-``REPRO_SKIP_SPEEDUP_ASSERT=1`` is set (for emulated/overloaded
-environments where wall-clock ratios are meaningless).
-``REPRO_FORCE_SPEEDUP_ASSERT=1`` overrides the skip either way.
+Skipped on constrained hosts (see ``_bench_utils.constrained_host``).
 """
 
 from __future__ import annotations
 
-import os
-import time
-
 import pytest
 
+from _bench_utils import constrained_host, median_ratio, timed
 from repro.datasets import generate_trajectory
 from repro.geometry import kernels
 
 REQUIRED_SPEEDUP = 5.0
 N_POINTS = 10_000
-
-_forced = os.environ.get("REPRO_FORCE_SPEEDUP_ASSERT") == "1"
-constrained_host = pytest.mark.skipif(
-    not _forced
-    and (os.environ.get("REPRO_SKIP_SPEEDUP_ASSERT") == "1" or (os.cpu_count() or 1) < 2),
-    reason="constrained host: wall-clock speedup ratios are not meaningful",
-)
+PAIRS = 3
 
 
 @pytest.fixture(scope="module")
@@ -39,23 +28,15 @@ def soa_10k():
     return trajectory.soa()
 
 
-def _best_wall(function, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
 def _measured_speedup(soa, *, use_sed: bool) -> float:
     first, last = 0, len(soa) - 1
-    run = lambda: soa.chord_deviations(first, last, use_sed=use_sed)  # noqa: E731
-    with kernels.kernel_backend("vectorized"):
-        vectorized = _best_wall(run, repeats=5)
-    with kernels.kernel_backend("scalar"):
-        scalar = _best_wall(run, repeats=2)
-    return scalar / vectorized
+    run = timed(lambda: soa.chord_deviations(first, last, use_sed=use_sed))
+
+    def on(backend: str) -> float:
+        with kernels.kernel_backend(backend):
+            return run()
+
+    return median_ratio(lambda: on("scalar"), lambda: on("vectorized"), PAIRS)
 
 
 @constrained_host

@@ -25,19 +25,20 @@ the certify-or-fallback splices (a chord straddling two patched ranges is
 spliced through verbatim to keep the bound sound), so they are held to a
 10% inflation allowance instead.
 
-Skipped on constrained hosts: single-core machines, or when
-``REPRO_SKIP_SPEEDUP_ASSERT=1`` is set (for emulated/overloaded
-environments where wall-clock ratios are meaningless).
-``REPRO_FORCE_SPEEDUP_ASSERT=1`` overrides the skip either way.
+The cost ratio is the median over back-to-back (k=4, k=1) pairs of runs,
+whose order alternates, so a host hiccup lands in one pair and the median
+drops it.
+
+Skipped on constrained hosts (see ``_bench_utils.constrained_host``).
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import pytest
 
+from _bench_utils import constrained_host, median_ratio
 from repro.perf.workloads import (
     IDLE_FLEET_PROFILE,
     PerfCase,
@@ -49,125 +50,90 @@ from repro.streaming import CollectingSink, StreamHub
 MAX_PYRAMID_OVERHEAD = 2.0
 MAX_OPERB_TAXI_OVERHEAD = 3.5
 LEVELS = 4
-REPEATS = 3
+PAIRS = 7
 SHARDS = 8
-
-_forced = os.environ.get("REPRO_FORCE_SPEEDUP_ASSERT") == "1"
-constrained_host = pytest.mark.skipif(
-    not _forced
-    and (os.environ.get("REPRO_SKIP_SPEEDUP_ASSERT") == "1" or (os.cpu_count() or 1) < 2),
-    reason="constrained host: wall-clock cost ratios are not meaningful",
-)
-
-
-def _case(profile: str) -> PerfCase:
-    if profile == IDLE_FLEET_PROFILE:
-        return PerfCase(
-            "bench-pyramid-idle",
-            IDLE_FLEET_PROFILE,
-            n_trajectories=8,
-            points_per_trajectory=1_000,
-            epsilon=10.0,
-            mode="pyramid",
-            block_size=4_096,
-        )
-    return PerfCase(
-        "bench-pyramid-taxi",
-        "taxi",
-        n_trajectories=16,
-        points_per_trajectory=500,
-        epsilon=40.0,
-        mode="pyramid",
-    )
+TAXI_EPSILON = 40.0
+IDLE_EPSILON = 10.0
 
 
 @pytest.fixture(scope="module")
 def taxi_records():
-    return interleave_fleet(build_fleet(_case("taxi")))
+    case = PerfCase("bench-pyramid-taxi", "taxi", n_trajectories=16, points_per_trajectory=500)
+    return interleave_fleet(build_fleet(case))
 
 
 @pytest.fixture(scope="module")
 def idle_records():
-    return interleave_fleet(build_fleet(_case(IDLE_FLEET_PROFILE)))
-
-
-def _replay(algorithm: str, case: PerfCase, records, levels: int) -> tuple[float, list[int]]:
-    """One timed hub replay over the full log at ``levels`` resolutions."""
-    ladder = tuple(case.epsilon * (2.0**level) for level in range(levels))
-    device_ids = sorted({device_id for device_id, _ in records})
-    hub = StreamHub(
-        algorithm=algorithm,
-        epsilons=ladder,
-        shards=SHARDS,
-        on_error="raise",
-        block_size=case.block_size,
+    case = PerfCase(
+        "bench-pyramid-idle",
+        IDLE_FLEET_PROFILE,
+        n_trajectories=8,
+        points_per_trajectory=1_000,
     )
+    return interleave_fleet(build_fleet(case))
+
+
+def _replay(algorithm: str, epsilon: float, records, levels: int) -> float:
+    """Seconds one serial hub takes over the full log at ``levels`` resolutions."""
+    ladder = tuple(epsilon * (2.0**level) for level in range(levels))
+    hub = StreamHub(algorithm=algorithm, epsilons=ladder, shards=SHARDS, on_error="raise")
     try:
-        for device_id in device_ids:
+        for device_id in sorted({device_id for device_id, _ in records}):
             hub.register_device(device_id)
         started = time.perf_counter()
         hub.push_many(records)
         hub.finish_all()
-        elapsed = time.perf_counter() - started
-        stats = hub.stats()
-        by_level = stats.segments_by_level or [stats.segments_emitted]
+        return time.perf_counter() - started
     finally:
         hub.close()
-    return elapsed, by_level
 
 
-def _overhead(algorithm: str, case: PerfCase, records) -> tuple[float, list[int]]:
-    """Best-of-``REPEATS`` wall ratio of a k-level pyramid over k=1."""
-    single = min(_replay(algorithm, case, records, 1)[0] for _ in range(REPEATS))
-    pyramid = float("inf")
-    by_level: list[int] = []
-    for _ in range(REPEATS):
-        wall, counts = _replay(algorithm, case, records, LEVELS)
-        if wall < pyramid:
-            pyramid, by_level = wall, counts
-    return pyramid / single, by_level
+def _overhead(algorithm: str, epsilon: float, records) -> float:
+    """Median wall ratio of a k-level pyramid over k=1."""
+    return median_ratio(
+        lambda: _replay(algorithm, epsilon, records, LEVELS),
+        lambda: _replay(algorithm, epsilon, records, 1),
+        PAIRS,
+    )
 
 
 @constrained_host
 @pytest.mark.parametrize("algorithm", ["operb-a"])
 def test_taxi_pyramid_costs_under_double(taxi_records, algorithm):
-    overhead, by_level = _overhead(algorithm, _case("taxi"), taxi_records)
+    overhead = _overhead(algorithm, TAXI_EPSILON, taxi_records)
     assert overhead <= MAX_PYRAMID_OVERHEAD, (
         f"{algorithm}: {LEVELS}-level pyramid cost {overhead:.2f}x a single "
-        f"level on taxi traffic (allowed {MAX_PYRAMID_OVERHEAD}x; per-level "
-        f"segments {by_level})"
+        f"level on taxi traffic (allowed {MAX_PYRAMID_OVERHEAD}x)"
     )
 
 
 @constrained_host
 @pytest.mark.parametrize("algorithm", ["operb", "operb-a"])
 def test_idle_pyramid_costs_under_double(idle_records, algorithm):
-    overhead, by_level = _overhead(algorithm, _case(IDLE_FLEET_PROFILE), idle_records)
+    overhead = _overhead(algorithm, IDLE_EPSILON, idle_records)
     assert overhead <= MAX_PYRAMID_OVERHEAD, (
         f"{algorithm}: {LEVELS}-level pyramid cost {overhead:.2f}x a single "
-        f"level on the idle-fleet workload (allowed {MAX_PYRAMID_OVERHEAD}x; "
-        f"per-level segments {by_level})"
+        f"level on the idle-fleet workload (allowed {MAX_PYRAMID_OVERHEAD}x)"
     )
 
 
 @constrained_host
 @pytest.mark.parametrize("algorithm", ["operb", "raw-operb-a"])
 def test_taxi_pyramid_stays_well_under_linear(taxi_records, algorithm):
-    overhead, by_level = _overhead(algorithm, _case("taxi"), taxi_records)
+    overhead = _overhead(algorithm, TAXI_EPSILON, taxi_records)
     assert overhead <= MAX_OPERB_TAXI_OVERHEAD, (
         f"{algorithm}: {LEVELS}-level pyramid cost {overhead:.2f}x a single "
         f"level on taxi traffic (allowed {MAX_OPERB_TAXI_OVERHEAD}x — must "
-        f"stay well under the naive {LEVELS}x; per-level segments {by_level})"
+        f"stay well under the naive {LEVELS}x)"
     )
 
 
 def test_pyramid_finest_level_matches_single_run(taxi_records):
     """The cost comparison above only counts if level 0 is the same work."""
-    case = _case("taxi")
     for algorithm in ("operb", "operb-a", "raw-operb-a"):
         outputs = []
         for levels in (1, LEVELS):
-            ladder = tuple(case.epsilon * (2.0**level) for level in range(levels))
+            ladder = tuple(TAXI_EPSILON * (2.0**level) for level in range(levels))
             sinks: dict[str, CollectingSink] = {}
 
             def sink_factory(device_id: str, sinks=sinks) -> CollectingSink:

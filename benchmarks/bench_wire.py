@@ -17,21 +17,17 @@ Both sides of the comparison do the whole job the transport needs:
 The agreement test pins that the two paths produce identical groups, so
 the timing comparison is apples to apples.
 
-Skipped on constrained hosts: single-core machines, or when
-``REPRO_SKIP_SPEEDUP_ASSERT=1`` is set (for emulated/overloaded
-environments where wall-clock ratios are meaningless).
-``REPRO_FORCE_SPEEDUP_ASSERT=1`` overrides the skip either way.
+Skipped on constrained hosts (see ``_bench_utils.constrained_host``).
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-import time
 
 import numpy as np
 import pytest
 
+from _bench_utils import constrained_host, median_ratio, timed
 from repro.perf.workloads import build_device_log
 from repro.streaming import shard_index
 from repro.streaming.wire import decode_frame, encode_frame, group_records
@@ -40,13 +36,7 @@ REQUIRED_SPEEDUP = 3.0
 N_DEVICES = 20
 POINTS_PER_DEVICE = 500  # 20 x 500 = one 10k-point shipped batch
 SHARDS = 8
-
-_forced = os.environ.get("REPRO_FORCE_SPEEDUP_ASSERT") == "1"
-constrained_host = pytest.mark.skipif(
-    not _forced
-    and (os.environ.get("REPRO_SKIP_SPEEDUP_ASSERT") == "1" or (os.cpu_count() or 1) < 2),
-    reason="constrained host: wall-clock speedup ratios are not meaningful",
-)
+PAIRS = 5
 
 
 @pytest.fixture(scope="module")
@@ -54,15 +44,6 @@ def shipped_records():
     """One hub-shaped batch: interleaved per-device records, shard-tagged."""
     log = build_device_log("taxi", N_DEVICES, POINTS_PER_DEVICE, seed=2017)
     return [(shard_index(device, SHARDS), device, point) for device, point in log]
-
-
-def _best_wall(function, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        function()
-        best = min(best, time.perf_counter() - started)
-    return best
 
 
 def _pickle_round_trip(records) -> list:
@@ -76,9 +57,11 @@ def _columnar_round_trip(records) -> list:
 
 @constrained_host
 def test_columnar_frames_beat_pickle(shipped_records):
-    pickled = _best_wall(lambda: _pickle_round_trip(shipped_records), repeats=5)
-    columnar = _best_wall(lambda: _columnar_round_trip(shipped_records), repeats=5)
-    speedup = pickled / columnar
+    speedup = median_ratio(
+        timed(lambda: _pickle_round_trip(shipped_records)),
+        timed(lambda: _columnar_round_trip(shipped_records)),
+        PAIRS,
+    )
     assert speedup >= REQUIRED_SPEEDUP, (
         f"columnar point-batch round trip only {speedup:.1f}x faster than "
         f"pickle on a {N_DEVICES * POINTS_PER_DEVICE}-point batch "

@@ -89,6 +89,7 @@ from .exceptions import (
     ReproError,
     SimplificationError,
     UnknownAlgorithmError,
+    UnknownProfileError,
 )
 from .geometry import DirectedSegment, LocalProjection, Point
 from .metrics import (
@@ -140,6 +141,7 @@ __all__ = [
     "TRUCK",
     "Trajectory",
     "UnknownAlgorithmError",
+    "UnknownProfileError",
     "__version__",
     "average_error",
     "bqs",

@@ -95,7 +95,7 @@ class _Visitor(ScopedVisitor):
                     node,
                     name,
                     f"{name}() reads a clock on a byte-identical path",
-                    "pass timestamps in as data; timing belongs to repro/perf",
+                    "pass timestamps in as data; timing belongs to benchmarks/ and fixbench/",
                 )
             elif (
                 parts[-1] in _DATETIME_TAILS

@@ -30,7 +30,6 @@ __all__ = [
     "cmd_evaluate",
     "cmd_generate",
     "cmd_experiment",
-    "cmd_perf",
     "cmd_query",
     "cmd_serve_replay",
     "cmd_lint",
@@ -654,74 +653,3 @@ def cmd_compact(args) -> int:
             f"{item.segments} segment(s){note}"
         )
     return 0
-
-
-def cmd_perf(args) -> int:
-    """``repro-traj perf`` — run the harness and/or gate on regressions.
-
-    Modes:
-
-    * ``--list`` prints the registered suites and their cases, exit 0;
-    * run a suite (optionally ``--output report.json``), exit 0;
-    * run a suite and gate it against ``--compare BASELINE.json``, exit 1
-      past the slowdown threshold;
-    * pure diff: ``--compare BASELINE.json --against CURRENT.json`` skips
-      running and compares the two files.
-    """
-    from ..perf import SUITES, compare_reports, get_suite, load_report, run_suite, write_report
-
-    if args.list:
-        for suite_name in sorted(SUITES):
-            suite = SUITES[suite_name]
-            print(
-                f"{suite.name}: {len(suite.cases)} case(s) x "
-                f"{len(suite.algorithms)} algorithm(s) "
-                f"({', '.join(suite.algorithms)}), repeats {suite.repeats}"
-            )
-            for case in suite.cases:
-                print(
-                    f"  {case.name:<24} mode={case.mode:<6} "
-                    f"backend={case.backend:<7} block_size={case.block_size}"
-                )
-        return 0
-
-    def load_report_or_none(path: str):
-        try:
-            return load_report(path)
-        except (OSError, ValueError) as error:  # ValueError covers bad JSON
-            print(f"error: cannot load perf report {path!r}: {error}", file=sys.stderr)
-            return None
-
-    if args.against and not args.compare:
-        print("error: --against requires --compare", file=sys.stderr)
-        return 2
-
-    if args.against:
-        report = load_report_or_none(args.against)
-        if report is None:
-            return 2
-    else:
-        suite = get_suite(args.suite)
-        report = run_suite(
-            suite,
-            repeats=args.repeats,
-            progress=print,
-            backend=args.backend,
-            workers=args.workers,
-            block_size=args.block_size,
-        )
-        print()
-        print(report.to_text())
-        if args.output:
-            write_report(report, args.output)
-            print(f"wrote perf report to {args.output}")
-
-    if not args.compare:
-        return 0
-    baseline = load_report_or_none(args.compare)
-    if baseline is None:
-        return 2
-    comparison = compare_reports(baseline, report, threshold=args.threshold)
-    print()
-    print(comparison.to_text())
-    return 0 if comparison.ok else 1

@@ -13,9 +13,6 @@ Sub-commands
     Synthesise a dataset following one of the paper's profiles.
 ``experiment``
     Re-run one (or all) of the paper's tables/figures.
-``perf``
-    Run the performance harness (or diff two of its reports) and gate on
-    throughput regressions.
 ``serve-replay``
     Replay a multi-device point log through the streaming hub with periodic
     checkpoints; ``--resume`` continues an interrupted replay byte-identically,
@@ -312,63 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: analysis_baseline.json when present)",
     )
     lint.set_defaults(handler=commands.cmd_lint)
-
-    perf = subparsers.add_parser(
-        "perf", help="run the performance harness / compare BENCH reports"
-    )
-    perf.add_argument(
-        "--suite",
-        default="quick",
-        help="workload suite: smoke, quick, hub, fleet, blocks, pyramid or full",
-    )
-    perf.add_argument(
-        "--list",
-        action="store_true",
-        help="print the registered suites and their cases instead of running",
-    )
-    perf.add_argument(
-        "--output", help="write the report (BENCH_results.json format) to this path"
-    )
-    perf.add_argument(
-        "--compare",
-        metavar="BASELINE.json",
-        help="gate against this baseline report; exit 1 past the threshold",
-    )
-    perf.add_argument(
-        "--against",
-        metavar="CURRENT.json",
-        help="with --compare: diff the baseline against this existing report "
-        "instead of running the suite",
-    )
-    perf.add_argument(
-        "--threshold",
-        type=float,
-        default=2.0,
-        help="allowed slowdown factor before the comparison fails (default 2.0)",
-    )
-    perf.add_argument(
-        "--repeats", type=int, default=None, help="override the suite's timing repeats"
-    )
-    perf.add_argument(
-        "--backend",
-        default=None,
-        choices=["serial", "thread", "process", "node"],
-        help="override the execution backend of every hub/fleet case",
-    )
-    perf.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="override the worker count of every hub/fleet case",
-    )
-    perf.add_argument(
-        "--block-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="override the hub ingest block size of every hub case",
-    )
-    perf.set_defaults(handler=commands.cmd_perf)
 
     return parser
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..exceptions import UnknownProfileError
+
 __all__ = ["DatasetProfile", "TAXI", "TRUCK", "SERCAR", "GEOLIFE", "PROFILES", "get_profile"]
 
 
@@ -113,5 +115,5 @@ def get_profile(name: str) -> DatasetProfile:
     key = name.strip().lower()
     if key not in PROFILES:
         available = ", ".join(sorted(PROFILES))
-        raise KeyError(f"unknown dataset profile {name!r}; available: {available}")
+        raise UnknownProfileError(f"unknown dataset profile {name!r}; available: {available}")
     return PROFILES[key]

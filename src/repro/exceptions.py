@@ -16,6 +16,7 @@ __all__ = [
     "ExperimentError",
     "FleetExecutionError",
     "UnknownAlgorithmError",
+    "UnknownProfileError",
     "CheckpointError",
     "ExecutionError",
     "StoreError",
@@ -75,6 +76,10 @@ class FleetExecutionError(ReproError):
 
 class UnknownAlgorithmError(ReproError, KeyError):
     """The requested algorithm name is not present in the registry."""
+
+
+class UnknownProfileError(DatasetError, KeyError):
+    """The requested dataset profile name is not one of the paper's four."""
 
 
 class CheckpointError(ReproError):

@@ -2,10 +2,9 @@
 
 ``repro.exec`` is where *how work runs* is decided, exactly once: the fleet
 executor (:meth:`repro.api.Simplifier.run_many`), the streaming hub
-(:class:`repro.streaming.StreamHub`), the perf harness and the CLI all
-resolve their ``backend=`` / ``--backend`` knobs through
-:func:`resolve_backend` and execute through the same
-:class:`ExecutionBackend` objects.
+(:class:`repro.streaming.StreamHub`) and the CLI all resolve their
+``backend=`` / ``--backend`` knobs through :func:`resolve_backend` and
+execute through the same :class:`ExecutionBackend` objects.
 
 Two execution shapes are offered:
 

@@ -44,7 +44,7 @@ Four backends implement both shapes:
 
 :func:`resolve_backend` is the single factory every layer goes through, so
 ``"serial" | "thread" | "process" | "node" | "auto"`` mean the same thing
-in ``run_many``, ``StreamHub``, the perf harness and the CLI.
+in ``run_many``, ``StreamHub`` and the CLI.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class ExecutionBackend(ABC):
     open between them.
     """
 
-    #: Short name recorded in results and perf reports.
+    #: Short name recorded in results (``FleetResult.backend``, ``StreamHub.backend``).
     name: str
 
     def __init__(self, workers: int = 1) -> None:

@@ -1,66 +1,8 @@
-"""Performance harness: declared workload suites, measurement, regression gates.
+"""Seeded traffic generators for benchmarks, tests, examples and the CLI.
 
-The subsystem has three parts:
-
-* :mod:`repro.perf.workloads` — named, seeded suite declarations
-  (``smoke`` / ``quick`` / ``hub`` / ``full``), including multi-device
-  ``hub``-mode ingest cases;
-* :mod:`repro.perf.harness` — runs a suite through the unified
-  :class:`repro.api.Simplifier` API and serialises wall time, points/sec and
-  compression ratio per algorithm into ``BENCH_results.json`` with machine
-  and commit metadata;
-* :mod:`repro.perf.compare` — diffs two reports and flags throughput
-  regressions past a threshold, with cross-machine calibration.
-
-Entry points: ``repro-traj perf`` on the command line, or::
-
-    from repro.perf import run_suite, write_report
-    report = run_suite("quick")
-    write_report(report, "BENCH_results.json")
+:mod:`repro.perf.workloads` synthesises reproducible device fleets: the
+paper's dataset profiles, an idle-heavy fleet for the block-ingest paths,
+and round-robin interleaved multi-device point logs for the stream hub.
+Timing lives outside the package, in ``benchmarks/`` (same-run ratio
+guards) and ``fixbench/`` (the end-to-end benchmark).
 """
-
-from .compare import ComparisonResult, ComparisonRow, compare_reports
-from .harness import (
-    Measurement,
-    PerfReport,
-    calibration_points_per_second,
-    load_report,
-    machine_metadata,
-    run_suite,
-    write_report,
-)
-from .workloads import (
-    CASE_BACKENDS,
-    CASE_MODES,
-    GATING_ALGORITHMS,
-    SUITES,
-    PerfCase,
-    PerfSuite,
-    build_device_log,
-    build_fleet,
-    get_suite,
-    interleave_fleet,
-)
-
-__all__ = [
-    "CASE_BACKENDS",
-    "CASE_MODES",
-    "ComparisonResult",
-    "ComparisonRow",
-    "GATING_ALGORITHMS",
-    "Measurement",
-    "PerfCase",
-    "PerfReport",
-    "PerfSuite",
-    "SUITES",
-    "build_device_log",
-    "build_fleet",
-    "interleave_fleet",
-    "calibration_points_per_second",
-    "compare_reports",
-    "get_suite",
-    "load_report",
-    "machine_metadata",
-    "run_suite",
-    "write_report",
-]

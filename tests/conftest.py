@@ -73,7 +73,7 @@ def device_point_log() -> list[tuple[str, Point]]:
     """A seeded multi-device point log (shared across the hub tests).
 
     Generated by :func:`repro.perf.workloads.build_device_log` — the same
-    generator the ``hub`` perf cases replay — so tests and benchmarks
+    generator the hub benchmarks replay — so tests and benchmarks
     exercise an identical traffic shape: one device per trajectory, fixes
     interleaved round-robin across the fleet.
     """

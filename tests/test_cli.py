@@ -28,6 +28,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_perf_is_not_a_command(self, capsys):
+        # Timing lives in benchmarks/ and fixbench/, outside the package.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["perf", "--suite", "quick"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
+
 
 class TestAlgorithmsCommand:
     def test_lists_paper_algorithms(self, capsys):
@@ -123,55 +130,14 @@ class TestGenerateCommand:
         assert code == 0
         assert output.exists()
 
-
-class TestPerfCommand:
-    def test_smoke_suite_writes_report(self, tmp_path, capsys):
-        output = tmp_path / "BENCH_results.json"
-        code = main(["perf", "--suite", "smoke", "--output", str(output)])
-        assert code == 0
-        payload = json.loads(output.read_text())
-        assert {entry["algorithm"] for entry in payload["results"]} == {
-            "dp",
-            "opw",
-            "operb",
-            "operb-a",
-        }
-        assert all(entry["points_per_second"] > 0 for entry in payload["results"])
-        assert "points/s" in capsys.readouterr().out
-
-    def test_gating_against_itself_passes(self, tmp_path, capsys):
-        report = tmp_path / "report.json"
-        assert main(["perf", "--suite", "smoke", "--output", str(report)]) == 0
-        code = main(
-            ["perf", "--compare", str(report), "--against", str(report)]
-        )
-        assert code == 0
-        assert "OK: 0 regression(s)" in capsys.readouterr().out
-
-    def test_gating_fails_on_regression(self, tmp_path, capsys):
-        report = tmp_path / "report.json"
-        assert main(["perf", "--suite", "smoke", "--output", str(report)]) == 0
-        payload = json.loads(report.read_text())
-        for entry in payload["results"]:
-            entry["points_per_second"] *= 100.0  # baseline claims 100x faster
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(payload))
-        code = main(["perf", "--compare", str(baseline), "--against", str(report)])
-        assert code == 1
-        assert "REGRESSED" in capsys.readouterr().out
-
-    def test_against_requires_compare(self, tmp_path, capsys):
-        code = main(["perf", "--against", str(tmp_path / "whatever.json")])
-        assert code == 2
-        assert "--against requires --compare" in capsys.readouterr().err
-
-    def test_unknown_suite_is_reported(self, capsys):
-        assert main(["perf", "--suite", "warp"]) == 1
-        assert "unknown perf suite" in capsys.readouterr().err
-
-    def test_backend_flag_rejects_unknown_backends(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["perf", "--backend", "warp"])
+    def test_unknown_profile_is_reported(self, tmp_path, capsys):
+        output = tmp_path / "out.csv"
+        assert main(["generate", "warp", str(output)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "unknown dataset profile 'warp'" in err
+        assert "available: geolife, sercar, taxi, truck" in err
+        assert not output.exists()
 
 
 class TestServeReplayCommand:
@@ -204,6 +170,15 @@ class TestServeReplayCommand:
         assert "5 shard(s)" in out
         assert output.exists()
         assert len(output.read_text().splitlines()) > 1
+
+    def test_unknown_synthetic_profile_is_reported(self, tmp_path, capsys):
+        checkpoint = tmp_path / "hub.json"
+        code = main(
+            ["serve-replay", "--synthetic", "warp", "--checkpoint", str(checkpoint)]
+        )
+        assert code == 1
+        assert "error: " in capsys.readouterr().err
+        assert not checkpoint.exists()
 
     def test_synthetic_log_needs_no_input_file(self, capsys):
         code = main(
@@ -548,14 +523,6 @@ class TestPyramidCli:
         path = tmp_path / "log.jsonl"
         write_point_log(device_point_log[:1_000], path)
         return path
-
-    def test_perf_list_prints_suites_and_cases(self, capsys):
-        assert main(["perf", "--list"]) == 0
-        out = capsys.readouterr().out
-        assert re.search(r"^pyramid: \d+ case\(s\)", out, re.MULTILINE)
-        assert re.search(r"^quick: \d+ case\(s\)", out, re.MULTILINE)
-        assert "mode=pyramid" in out
-        assert "block_size=" in out
 
     def test_serve_replay_epsilons_reports_per_level_counts(self, capsys):
         code = main(

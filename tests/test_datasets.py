@@ -30,7 +30,7 @@ from repro.datasets import (
     waypoint_trajectory,
 )
 from repro.datasets.noise import inject_dropouts
-from repro.exceptions import DatasetError
+from repro.exceptions import DatasetError, ReproError, UnknownProfileError
 
 PLT_SAMPLE = """Geolife trajectory
 WGS 84
@@ -55,6 +55,18 @@ class TestProfiles:
     def test_unknown_profile(self):
         with pytest.raises(KeyError):
             get_profile("buses")
+
+    def test_unknown_profile_is_a_dataset_error(self):
+        with pytest.raises(UnknownProfileError, match="available: geolife") as excinfo:
+            get_profile("buses")
+        assert isinstance(excinfo.value, DatasetError)
+        assert isinstance(excinfo.value, ReproError)
+
+    def test_generators_reject_unknown_profiles(self):
+        with pytest.raises(UnknownProfileError, match="'warp'"):
+            generate_trajectory("warp", 10, seed=1)
+        with pytest.raises(UnknownProfileError, match="'warp'"):
+            generate_dataset("warp", n_trajectories=1, points_per_trajectory=10, seed=1)
 
     def test_table1_figures_recorded(self):
         assert TAXI.paper_trajectories == 12_727
