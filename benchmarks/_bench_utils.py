@@ -5,8 +5,9 @@ These used to live in ``benchmarks/conftest.py``, but pytest treats
 ``tests/`` and ``benchmarks/`` collected in one session, a bare
 ``from conftest import ...`` resolves to whichever directory's conftest was
 imported first.  Keeping the shared helpers in a regular module (imported as
-``from _bench_utils import ...``) makes ``pytest benchmarks`` collect cleanly
-alongside the unit-test suite.
+``from _bench_utils import ...``, as the unit tests import theirs from
+``tests/_builders.py``) lets ``pytest tests benchmarks`` collect both
+directories in one session; CI checks that with ``--collect-only``.
 
 The timing guards share two helpers from here: the
 :data:`constrained_host` skip marker and :func:`median_ratio`, the

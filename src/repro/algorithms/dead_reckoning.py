@@ -42,7 +42,8 @@ class DeadReckoningSimplifier(BlockIngestMixin):
         self._last_kept: Point | None = None
         self._last_kept_index = -1
         self._velocity = (0.0, 0.0)
-        self._previous: Point | None = None
+        # The previous fix, as floats (meaningful once ``_index >= 0``).
+        self._previous_x = self._previous_y = self._previous_t = 0.0
         self._index = -1
         self._finished = False
         # Block-ingest probe spacing (acceleration state only; not part of
@@ -53,49 +54,47 @@ class DeadReckoningSimplifier(BlockIngestMixin):
         """Feed the next point; return the segment closed by it, if any."""
         if self._finished:
             raise SimplificationError("push() called after finish()")
+        return self._step(point.x, point.y, point.t)
+
+    def _step(self, x: float, y: float, t: float) -> list[SegmentRecord]:
+        """The block-ingest float step; a ``Point`` is built only for a kept fix."""
         self._index += 1
         emitted: list[SegmentRecord] = []
-
-        if self._last_kept is None:
-            self._last_kept = point
+        kept = self._last_kept
+        if kept is None:
+            self._last_kept = Point(x, y, t)
             self._last_kept_index = self._index
-            self._previous = point
-            return emitted
-
-        # Routed through the scalar prediction kernel so the vectorized
-        # block path (prediction_prefix_within) makes bit-identical
-        # keep/transmit decisions.
-        error = kernels.prediction_error_point(
-            point.x,
-            point.y,
-            point.t,
-            self._last_kept.x,
-            self._last_kept.y,
-            self._last_kept.t,
-            self._velocity[0],
-            self._velocity[1],
-        )
-        if error > self.epsilon:
+        elif (
+            # Routed through the scalar prediction kernel so the vectorized
+            # block path (prediction_prefix_within) makes bit-identical
+            # keep/transmit decisions.
+            kernels.prediction_error_point(
+                x, y, t, kept.x, kept.y, kept.t, self._velocity[0], self._velocity[1]
+            )
+            > self.epsilon
+        ):
+            point = Point(x, y, t)
             emitted.append(
                 SegmentRecord(
-                    start=self._last_kept,
+                    start=kept,
                     end=point,
                     first_index=self._last_kept_index,
                     last_index=self._index,
                 )
             )
-            previous = self._previous if self._previous is not None else self._last_kept
-            step_dt = point.t - previous.t
+            step_dt = t - self._previous_t
             if step_dt > 0.0:
                 self._velocity = (
-                    (point.x - previous.x) / step_dt,
-                    (point.y - previous.y) / step_dt,
+                    (x - self._previous_x) / step_dt,
+                    (y - self._previous_y) / step_dt,
                 )
             else:
                 self._velocity = (0.0, 0.0)
             self._last_kept = point
             self._last_kept_index = self._index
-        self._previous = point
+        self._previous_x = x
+        self._previous_y = y
+        self._previous_t = t
         return emitted
 
     def _block_steps(
@@ -132,7 +131,10 @@ class DeadReckoningSimplifier(BlockIngestMixin):
             if count:
                 # Within-bound fixes leave the sender state untouched.
                 self._index += count
-                self._previous = block.point(start + count - 1)
+                last = start + count - 1
+                self._previous_x = xs.item(last)
+                self._previous_y = ys.item(last)
+                self._previous_t = ts.item(last)
             return count, True, start + count == stop
 
         return drive_block_steps(self, block, probe)
@@ -142,16 +144,12 @@ class DeadReckoningSimplifier(BlockIngestMixin):
         if self._finished:
             return []
         self._finished = True
-        if (
-            self._last_kept is None
-            or self._previous is None
-            or self._index <= self._last_kept_index
-        ):
+        if self._last_kept is None or self._index <= self._last_kept_index:
             return []
         return [
             SegmentRecord(
                 start=self._last_kept,
-                end=self._previous,
+                end=Point(self._previous_x, self._previous_y, self._previous_t),
                 first_index=self._last_kept_index,
                 last_index=self._index,
             )
@@ -163,7 +161,9 @@ class DeadReckoningSimplifier(BlockIngestMixin):
             "last_kept": encode_point(self._last_kept),
             "last_kept_index": self._last_kept_index,
             "velocity": list(self._velocity),
-            "previous": encode_point(self._previous),
+            "previous": None
+            if self._index < 0
+            else [self._previous_x, self._previous_y, self._previous_t],
             "index": self._index,
             "finished": self._finished,
         }
@@ -176,7 +176,9 @@ class DeadReckoningSimplifier(BlockIngestMixin):
         self._last_kept_index = int(state["last_kept_index"])
         velocity = state["velocity"]
         self._velocity = (float(velocity[0]), float(velocity[1]))
-        self._previous = decode_point(state["previous"])
+        previous = state["previous"]
+        if previous is not None:
+            self._previous_x, self._previous_y, self._previous_t = previous
         self._index = int(state["index"])
         self._finished = bool(state["finished"])
 

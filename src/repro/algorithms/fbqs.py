@@ -101,6 +101,10 @@ class FBQSSimplifier(SegmentCascadeMixin, BlockIngestMixin):
         self._previous_index = self._index
         return emitted
 
+    def _step(self, x: float, y: float, t: float) -> list[SegmentRecord]:
+        """The block-ingest float step: this simplifier's state holds ``Point``s."""
+        return self.push(Point(x, y, t))
+
     def _block_steps(
         self, block: "PointBlock"
     ) -> Iterator[tuple[int, list[SegmentRecord]]]:
@@ -154,8 +158,7 @@ class FBQSSimplifier(SegmentCascadeMixin, BlockIngestMixin):
         window = self._window
         assert window is not None
         add = window.add
-        for offset in range(start, stop):
-            point = block.point(offset)
+        for point in block.slice(start, stop):
             self._index += 1
             add(point)
             self._previous = point

@@ -3,8 +3,8 @@
 The format-1 checkpoint contract says a restored stream continues
 byte-identically.  That only holds while ``snapshot()`` captures *every*
 piece of mutable state the push path can change — a field added to
-``__init__``/``push``/``push_block`` but forgotten in the snapshot payload
-resumes with a stale default and silently diverges.  This rule makes the
+``__init__``/``push``/``push_block``/``_step`` but forgotten in the
+snapshot payload resumes with a stale default and silently diverges.  This rule makes the
 coupling explicit: every ``self.X`` assigned in those methods of a class
 that defines ``snapshot()`` must either be read somewhere in ``snapshot()``
 or be listed in a class-level ``_SNAPSHOT_EXCLUDE`` allowlist (immutable
@@ -30,8 +30,9 @@ from ..registry import Rule, register_rule
 __all__ = ["CheckpointDriftRule"]
 
 #: Methods whose ``self.X = ...`` assignments define the mutable state the
-#: snapshot must cover (construction plus the two ingest entry points).
-MUTATING_METHODS = ("__init__", "push", "push_block")
+#: snapshot must cover (construction, the two ingest entry points and the
+#: float step ``_step`` that block-ingest hosts run every fix through).
+MUTATING_METHODS = ("__init__", "push", "push_block", "_step")
 
 
 @register_rule
@@ -39,7 +40,7 @@ class CheckpointDriftRule(Rule):
     rule_id = "RPA001"
     name = "checkpoint-drift"
     description = (
-        "every mutable attribute assigned in __init__/push/push_block of a "
+        "every mutable attribute assigned in __init__/push/push_block/_step of a "
         "class defining snapshot() must appear in the snapshot payload or in "
         "_SNAPSHOT_EXCLUDE"
     )

@@ -121,7 +121,7 @@ class StreamSession:
                 f"cannot push to a finished {self.algorithm!r} stream session"
             )
         self._pushes += 1
-        emitted = list(self._raw.push(point))
+        emitted = self._raw.push(point)
         if self._keep_segments:
             self._segments.extend(emitted)
         return emitted
@@ -171,7 +171,7 @@ class StreamSession:
                 f"push_segment re-ingest hook (pyramid capability)"
             )
         self._pushes += 2 if include_start else 1
-        emitted = list(native(segment, include_start=include_start))
+        emitted = native(segment, include_start=include_start)
         if self._keep_segments:
             self._segments.extend(emitted)
         return emitted

@@ -24,9 +24,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from ..geometry.angles import normalize_angle
+from ..geometry.angles import TWO_PI, normalize_angle
 from ..geometry.kernels import zero_vector_rotation_sign
-from ..geometry.point import Point, decode_point, encode_point
+from ..geometry.point import Point, encode_point
 
 __all__ = ["PointOutcome", "FittingState", "zone_index", "rotation_sign"]
 
@@ -99,7 +99,9 @@ class FittingState:
         "length",
         "theta",
         "has_direction",
-        "last_active_point",
+        "last_active_x",
+        "last_active_y",
+        "last_active_t",
         "last_active_theta",
         "last_active_zone",
         "d_plus_max",
@@ -112,17 +114,35 @@ class FittingState:
     _SNAPSHOT_EXCLUDE = frozenset({"config"})
 
     def __init__(self, anchor: Point, config) -> None:
-        self.anchor = anchor
         self.config = config
+        self.stats = FittingStatistics()
+        self.reset(anchor)
+
+    def reset(self, anchor: Point) -> None:
+        """Start over at ``anchor``: a fresh state without the allocations."""
+        self.anchor = anchor
         self.length = 0.0
         self.theta = 0.0
+        # The last active fix R_a, held as floats; it exists exactly when
+        # the segment has a direction (the first active fix sets both).
         self.has_direction = False
-        self.last_active_point: Point | None = None
+        self.last_active_x = 0.0
+        self.last_active_y = 0.0
+        self.last_active_t = 0.0
         self.last_active_theta = 0.0
         self.last_active_zone = 0
         self.d_plus_max = 0.0
         self.d_minus_max = 0.0
-        self.stats = FittingStatistics()
+        stats = self.stats
+        stats.points_observed = stats.active_points = stats.inactive_points = 0
+        stats.violations = stats.distance_computations = 0
+
+    @property
+    def last_active_point(self) -> Point | None:
+        """The last active fix ``R_a`` (``None`` before the first one)."""
+        if not self.has_direction:
+            return None
+        return Point(self.last_active_x, self.last_active_y, self.last_active_t)
 
     # ------------------------------------------------------------------ #
     # Checkpoint protocol
@@ -154,7 +174,9 @@ class FittingState:
         state.length = float(payload["length"])
         state.theta = float(payload["theta"])
         state.has_direction = bool(payload["has_direction"])
-        state.last_active_point = decode_point(payload["last_active_point"])
+        last_active = payload["last_active_point"]
+        if last_active is not None:
+            state.last_active_x, state.last_active_y, state.last_active_t = last_active
         state.last_active_theta = float(payload["last_active_theta"])
         state.last_active_zone = int(payload["last_active_zone"])
         state.d_plus_max = float(payload["d_plus_max"])
@@ -165,15 +187,15 @@ class FittingState:
     # ------------------------------------------------------------------ #
     # Main entry point
     # ------------------------------------------------------------------ #
-    def observe(self, point: Point) -> PointOutcome:
-        """Offer ``point`` to the fitting state and report the outcome.
+    def observe(self, x: float, y: float, t: float) -> PointOutcome:
+        """Offer the fix ``(x, y, t)`` to the fitting state; report the outcome.
 
-        The point is examined exactly once; at most two scalar distance
+        The fix is examined exactly once; at most two scalar distance
         computations are performed (the fitted line and, for inactive points,
         the line to the last active point ``R_a``), which is what gives OPERB
         its ``O(n)`` time and ``O(1)`` space behaviour.  The method is one
-        straight-line pass over float locals: it runs once per fix on both
-        the streaming and the batch path.
+        straight-line pass over floats, never a ``Point``: it runs once per
+        fix on both the streaming and the batch path.
 
         The radial length uses ``sqrt(dx*dx + dy*dy)`` and the rotation sign
         is decided from the cross/dot components of the radial vector (see
@@ -188,8 +210,8 @@ class FittingState:
         stats = self.stats
         stats.points_observed += 1
         anchor = self.anchor
-        dx = point.x - anchor.x
-        dy = point.y - anchor.y
+        dx = x - anchor.x
+        dy = y - anchor.y
         r_len = math.sqrt(dx * dx + dy * dy)
 
         has_direction = self.has_direction
@@ -256,7 +278,11 @@ class FittingState:
         r_theta = math.atan2(dy, dx)
         if r_theta < 0.0:
             r_theta += 2.0 * math.pi
-        j = max(1, math.ceil(2.0 * r_len / epsilon - 0.5))
+        # Conditionals instead of the min/max builtins (same values, NaN
+        # included): this runs for most fixes of a moving stream.
+        j = math.ceil(2.0 * r_len / epsilon - 0.5)
+        if j < 1:
+            j = 1
         half_len = j * (0.5 * epsilon)
         if has_direction:
             # Case 3 of F: rotate L towards P by arcsin(d / (j zeta/2)) / j.
@@ -264,24 +290,35 @@ class FittingState:
             # deviation, capped at the undivided arcsin of P's own deviation;
             # optimisation 4 multiplies by the number of zones skipped since
             # the previous active point.
-            if config.opt_missing_zone_compensation:
-                delta_zones = max(1, j - self.last_active_zone)
-            else:
+            delta_zones = j - self.last_active_zone
+            if delta_zones < 1 or not config.opt_missing_zone_compensation:
                 delta_zones = 1
             if config.opt_aggressive_rotation:
                 # The one-sided maximum already includes P's own deviation.
                 rotation_deviation = d_plus if positive else d_minus
             else:
                 rotation_deviation = deviation
-            rotation = math.asin(min(1.0, rotation_deviation / half_len)) * (delta_zones / j)
-            rotation = min(rotation, math.asin(min(1.0, deviation / half_len)))
-            self.theta = normalize_angle(theta + rotation if positive else theta - rotation)
+            ratio = rotation_deviation / half_len
+            rotation = math.asin(ratio if ratio < 1.0 else 1.0) * (delta_zones / j)
+            ratio = deviation / half_len
+            cap = math.asin(ratio if ratio < 1.0 else 1.0)
+            if cap < rotation:
+                rotation = cap
+            # normalize_angle, inlined: fold into [0, 2*pi).
+            theta = math.fmod(theta + rotation if positive else theta - rotation, TWO_PI)
+            if theta < 0.0:
+                theta += TWO_PI
+            if theta >= TWO_PI:
+                theta -= TWO_PI
+            self.theta = theta
         else:
             # Case 2 of F: the first active point fixes the initial direction.
             self.theta = r_theta
             self.has_direction = True
         self.length = half_len
-        self.last_active_point = point
+        self.last_active_x = x
+        self.last_active_y = y
+        self.last_active_t = t
         self.last_active_theta = r_theta
         self.last_active_zone = j
         stats.active_points += 1

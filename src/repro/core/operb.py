@@ -14,12 +14,12 @@ whole :class:`~repro.trajectory.model.Trajectory` objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from ..exceptions import SimplificationError
 from ..geometry import kernels
 from ..geometry.kernels import ped_point_to_chord
-from ..geometry.point import Point, decode_point, encode_point
+from ..geometry.point import Point, encode_point
 from ..trajectory.blocks import BlockIngestMixin, drive_block_steps
 from ..trajectory.model import Trajectory
 from ..trajectory.piecewise import (
@@ -46,45 +46,6 @@ class OperbStatistics:
     absorbed_points: int = 0
     forced_breaks: int = 0
     distance_computations: int = 0
-
-    def merge_fitting(self, fitting: FittingState) -> None:
-        """Fold the distance-computation counter of a finished fitting state."""
-        self.distance_computations += fitting.stats.distance_computations
-
-
-@dataclass
-class _SegmentInProgress:
-    """Book-keeping for the segment currently being grown."""
-
-    anchor: Point
-    anchor_index: int
-    fitting: FittingState
-    last_active: Point | None = None
-    last_active_index: int = -1
-    points_in_segment: int = 1
-
-
-@dataclass
-class _AbsorptionState:
-    """Book-keeping for optimisation 5 (absorbing points after a break)."""
-
-    segment: SegmentRecord
-    absorbed: int = 0
-
-    def credit(self, count: int, covered_last_index: int) -> None:
-        """Credit ``count`` more absorbed points, covered up to ``covered_last_index``."""
-        segment = self.segment
-        self.absorbed += count
-        self.segment = SegmentRecord(
-            start=segment.start,
-            end=segment.end,
-            first_index=segment.first_index,
-            last_index=segment.last_index,
-            point_count=segment.point_count + count,
-            covered_last_index=covered_last_index,
-            patched_start=segment.patched_start,
-            patched_end=segment.patched_end,
-        )
 
 
 class OPERBSimplifier(SegmentCascadeMixin, BlockIngestMixin):
@@ -113,16 +74,32 @@ class OPERBSimplifier(SegmentCascadeMixin, BlockIngestMixin):
 
     # Not snapshot state (RPA001): ``config`` is immutable configuration the
     # restoring side supplies, ``_probe_backoff`` is block-ingest probe
-    # spacing — pure acceleration state that never affects output.
-    _SNAPSHOT_EXCLUDE = frozenset({"config", "_probe_backoff"})
+    # spacing and ``_spare_fitting`` a closed segment's fitting state kept
+    # for reuse — pure acceleration state that never affects output.
+    _SNAPSHOT_EXCLUDE = frozenset({"config", "_probe_backoff", "_spare_fitting"})
 
     def __init__(self, config: OperbConfig) -> None:
         self.config = config
         self.stats = OperbStatistics()
-        self._segment: _SegmentInProgress | None = None
-        self._absorption: _AbsorptionState | None = None
         self._index = -1
-        self._previous_point: Point | None = None
+        # The previous fix, as floats (meaningful once ``_index >= 0``).
+        self._previous_x = 0.0
+        self._previous_y = 0.0
+        self._previous_t = 0.0
+        # The segment being grown: its fitting state (which holds the
+        # anchor and the last active fix) and its index book-keeping.
+        self._fitting: FittingState | None = None
+        self._spare_fitting: FittingState | None = None
+        self._anchor_index = -1
+        self._last_active_index = -1
+        self._points_in_segment = 0
+        # Optimisation 5: the closed record absorbing trailing fixes.  The
+        # absorbed fixes are counted here and folded into a new record only
+        # by ``_credited``, at emission or snapshot time.
+        self._absorbing: SegmentRecord | None = None
+        self._absorbed = 0
+        self._absorbing_count = 0
+        self._absorbing_covered = -1
         self._finished = False
         # Block-ingest probe spacing (acceleration state only: never part of
         # a snapshot, never observable in segments or statistics).
@@ -145,46 +122,63 @@ class OPERBSimplifier(SegmentCascadeMixin, BlockIngestMixin):
         """Feed the next trajectory point; return any finalised segments."""
         if self._finished:
             raise SimplificationError("push() called after finish()")
-        self._index += 1
-        index = self._index
+        return self._step(point.x, point.y, point.t)
+
+    def _step(self, x: float, y: float, t: float) -> list[SegmentRecord]:
+        """Ingest the fix ``(x, y, t)``: the one per-fix path of every ingest form.
+
+        ``push``, the block driver's replays and batch ``simplify`` all end
+        here.  The fix stays three floats; a ``Point`` is built only for
+        the endpoints of a record this fix closes.
+        """
+        index = self._index + 1
+        self._index = index
         self.stats.points_processed += 1
         emitted: list[SegmentRecord] = []
-        if self._absorption is not None:
-            if self._try_absorb(point, index):
-                self._previous_point = point
+        if self._absorbing is not None:
+            if self._try_absorb(x, y):
+                self._previous_x = x
+                self._previous_y = y
+                self._previous_t = t
                 return emitted
             emitted.append(self._end_absorption())
-            # Fall through: the point is processed in the fresh segment below.
+            # Fall through: the fix is processed in the fresh segment below.
 
-        segment = self._segment
-        if segment is None:
-            # Very first point of the stream.
-            self._start_segment(point, index)
-        elif segment.points_in_segment >= self.config.max_points_per_segment:
+        fitting = self._fitting
+        if fitting is None:
+            # Very first fix of the stream.
+            self._start_segment(Point(x, y, t), index)
+        elif self._points_in_segment >= self.config.max_points_per_segment:
             self.stats.forced_breaks += 1
-            self._break_segment(point, index, emitted)
+            self._break_segment(x, y, t, index, emitted)
         else:
-            outcome = segment.fitting.observe(point)
+            outcome = fitting.observe(x, y, t)
             if outcome is PointOutcome.VIOLATION:
-                self._break_segment(point, index, emitted)
+                self._break_segment(x, y, t, index, emitted)
             else:
                 if outcome is PointOutcome.ACTIVE:
-                    segment.last_active = point
-                    segment.last_active_index = index
-                segment.points_in_segment += 1
-        self._previous_point = point
+                    self._last_active_index = index
+                self._points_in_segment += 1
+        self._previous_x = x
+        self._previous_y = y
+        self._previous_t = t
         return emitted
 
     def _block_steps(
         self, block: "PointBlock"
     ) -> Iterator[tuple[int, list[SegmentRecord]]]:
-        """Probe-driven block loop behind :meth:`push_block`.
+        """Probe-driven block loop behind :meth:`push_block`."""
+        return drive_block_steps(self, block, self._block_probe(block))
+
+    def _block_probe(self, block: "PointBlock") -> Callable[[int], tuple[int, bool, bool]]:
+        """The :func:`drive_block_steps` probe over ``block``.
 
         Runs of absorbed points (pre-direction points near the anchor,
         inactive points inside the deviation budget, trailing points
         absorbed by optimisation 5) are detected with one vectorized
         prefix-kernel call each; only the run-breaking points go through
-        the scalar :meth:`push`.
+        the scalar step.  The bulk runs never close a segment, so OPERB-A
+        drives this same probe with its own step.
         """
         xs = block.xs
         ys = block.ys
@@ -192,23 +186,25 @@ class OPERBSimplifier(SegmentCascadeMixin, BlockIngestMixin):
         config = self.config
 
         def probe(start: int) -> tuple[int, bool, bool]:
-            if self._absorption is not None:
-                absorbed = self._absorption.segment
+            absorbing = self._absorbing
+            if absorbing is not None:
                 stop = start + min(n - start, kernels.BLOCK_LOOKAHEAD)
                 count = kernels.chord_prefix_within(
                     xs[start:stop],
                     ys[start:stop],
-                    absorbed.start.x,
-                    absorbed.start.y,
-                    absorbed.end.x,
-                    absorbed.end.y,
+                    absorbing.start.x,
+                    absorbing.start.y,
+                    absorbing.end.x,
+                    absorbing.end.y,
                     config.epsilon,
                 )
                 if count:
-                    self._bulk_absorb(block, start, count)
+                    self._bulk_advance(block, start, count)
+                    self.stats.distance_computations += count
+                    self._credit(count)
                 return count, True, start + count == stop
-            if self._segment is not None:
-                room = config.max_points_per_segment - self._segment.points_in_segment
+            if self._fitting is not None:
+                room = config.max_points_per_segment - self._points_in_segment
                 if room > 0:
                     stop = start + min(n - start, room, kernels.BLOCK_LOOKAHEAD)
                     count = self._bulk_inactive(block, start, stop)
@@ -217,18 +213,7 @@ class OPERBSimplifier(SegmentCascadeMixin, BlockIngestMixin):
             # first point: nothing to probe against.
             return 0, False, False
 
-        return drive_block_steps(self, block, probe)
-
-    def _bulk_absorb(self, block: "PointBlock", start: int, count: int) -> None:
-        """Apply ``count`` successful absorptions (optimisation 5) at once."""
-        absorption = self._absorption
-        assert absorption is not None
-        self._index += count
-        self.stats.points_processed += count
-        self.stats.distance_computations += count
-        self.stats.absorbed_points += count
-        absorption.credit(count, self._index)
-        self._previous_point = block.point(start + count - 1)
+        return probe
 
     def _bulk_inactive(self, block: "PointBlock", start: int, stop: int) -> int:
         """Bulk-ingest the leading absorbed-inactive run of ``[start, stop)``.
@@ -237,9 +222,8 @@ class OPERBSimplifier(SegmentCascadeMixin, BlockIngestMixin):
         for those points (fitting statistics, one-sided deviation maxima,
         indices, segment fill) is updated to the identical values.
         """
-        segment = self._segment
-        assert segment is not None
-        fitting = segment.fitting
+        fitting = self._fitting
+        assert fitting is not None
         config = self.config
         anchor = fitting.anchor
         xs = block.xs[start:stop]
@@ -250,8 +234,6 @@ class OPERBSimplifier(SegmentCascadeMixin, BlockIngestMixin):
             )
             if not count:
                 return 0
-            fitting.stats.points_observed += count
-            fitting.stats.inactive_points += count
         else:
             count, d_plus, d_minus = kernels.operb_fitting_prefix(
                 xs,
@@ -272,82 +254,68 @@ class OPERBSimplifier(SegmentCascadeMixin, BlockIngestMixin):
                 return 0
             fitting.d_plus_max = d_plus
             fitting.d_minus_max = d_minus
-            fitting.stats.points_observed += count
-            fitting.stats.inactive_points += count
             # One fitted-line and one last-active-line check per point.
             fitting.stats.distance_computations += 2 * count
-        segment.points_in_segment += count
+        fitting.stats.points_observed += count
+        fitting.stats.inactive_points += count
+        self._points_in_segment += count
+        self._bulk_advance(block, start, count)
+        return count
+
+    def _bulk_advance(self, block: "PointBlock", start: int, count: int) -> None:
+        """Advance the stream over ``count`` bulk-ingested fixes of ``block``."""
         self._index += count
         self.stats.points_processed += count
-        self._previous_point = block.point(start + count - 1)
-        return count
+        last = start + count - 1
+        self._previous_x = block.xs.item(last)
+        self._previous_y = block.ys.item(last)
+        self._previous_t = block.ts.item(last)
 
     def finish(self) -> list[SegmentRecord]:
         """Flush and return the remaining segment(s); further pushes are rejected."""
         if self._finished:
             return []
         self._finished = True
-        emitted: list[SegmentRecord] = []
-
-        if self._absorption is not None:
-            segment = self._absorption.segment
-            emitted.append(self._register(segment))
-            if self._index > segment.last_index and self._previous_point is not None:
-                emitted.append(
-                    self._register(
-                        SegmentRecord(
-                            start=segment.end,
-                            end=self._previous_point,
-                            first_index=segment.last_index,
-                            last_index=self._index,
-                            point_count=2,
-                        )
-                    )
-                )
-            self._absorption = None
-            return emitted
-
-        segment = self._segment
-        if segment is None:
-            return emitted
-        self.stats.merge_fitting(segment.fitting)
-        if segment.last_active is not None:
-            emitted.append(
-                self._register(
-                    SegmentRecord(
-                        start=segment.anchor,
-                        end=segment.last_active,
-                        first_index=segment.anchor_index,
-                        last_index=segment.last_active_index,
-                        # Trailing inactive points were checked against this
-                        # segment's lines, so they remain covered by it.
-                        covered_last_index=self._index,
-                    )
-                )
+        # A head record (the open one), then a tail from ``tail_start`` to
+        # the last fix when fixes follow it.
+        fitting = self._fitting
+        tail_count = -1
+        if self._absorbing is not None:
+            head: SegmentRecord | None = _credited(
+                self._absorbing, self._absorbing_count, self._absorbing_covered
             )
-            if self._index > segment.last_active_index and self._previous_point is not None:
-                emitted.append(
-                    self._register(
-                        SegmentRecord(
-                            start=segment.last_active,
-                            end=self._previous_point,
-                            first_index=segment.last_active_index,
-                            last_index=self._index,
-                        )
-                    )
+            self._absorbing = None
+            tail_start, tail_index, tail_count = head.end, head.last_index, 2
+        elif fitting is not None:
+            self._fitting = None
+            self.stats.distance_computations += fitting.stats.distance_computations
+            last_active = fitting.last_active_point
+            if last_active is None:
+                head = None
+                tail_start, tail_index = fitting.anchor, self._anchor_index
+            else:
+                # Trailing inactive points were checked against this
+                # segment's lines, so they remain covered by it.
+                head = SegmentRecord(
+                    start=fitting.anchor,
+                    end=last_active,
+                    first_index=self._anchor_index,
+                    last_index=self._last_active_index,
+                    covered_last_index=self._index,
                 )
-        elif self._index > segment.anchor_index and self._previous_point is not None:
-            emitted.append(
-                self._register(
-                    SegmentRecord(
-                        start=segment.anchor,
-                        end=self._previous_point,
-                        first_index=segment.anchor_index,
-                        last_index=self._index,
-                    )
-                )
+                tail_start, tail_index = last_active, self._last_active_index
+        else:
+            return []
+        emitted = [] if head is None else [self._register(head)]
+        if self._index > tail_index:
+            tail = SegmentRecord(
+                start=tail_start,
+                end=Point(self._previous_x, self._previous_y, self._previous_t),
+                first_index=tail_index,
+                last_index=self._index,
+                point_count=tail_count,
             )
-        self._segment = None
+            emitted.append(self._register(tail))
         return emitted
 
     # ------------------------------------------------------------------ #
@@ -360,26 +328,32 @@ class OPERBSimplifier(SegmentCascadeMixin, BlockIngestMixin):
         a fresh simplifier built with the same :class:`OperbConfig`, which is
         the caller's (descriptor's/checkpoint's) responsibility.
         """
-        segment = self._segment
-        absorption = self._absorption
+        fitting = self._fitting
         return {
             "index": self._index,
             "finished": self._finished,
-            "previous_point": encode_point(self._previous_point),
+            "previous_point": None
+            if self._index < 0
+            else [self._previous_x, self._previous_y, self._previous_t],
             "stats": vars(self.stats).copy(),
             "segment": None
-            if segment is None
+            if fitting is None
             else {
-                "anchor": encode_point(segment.anchor),
-                "anchor_index": segment.anchor_index,
-                "fitting": segment.fitting.snapshot(),
-                "last_active": encode_point(segment.last_active),
-                "last_active_index": segment.last_active_index,
-                "points_in_segment": segment.points_in_segment,
+                "anchor": encode_point(fitting.anchor),
+                "anchor_index": self._anchor_index,
+                "fitting": fitting.snapshot(),
+                "last_active": encode_point(fitting.last_active_point),
+                "last_active_index": self._last_active_index,
+                "points_in_segment": self._points_in_segment,
             },
             "absorption": None
-            if absorption is None
-            else {"segment": absorption.segment.to_dict(), "absorbed": absorption.absorbed},
+            if self._absorbing is None
+            else {
+                "segment": _credited(
+                    self._absorbing, self._absorbing_count, self._absorbing_covered
+                ).to_dict(),
+                "absorbed": self._absorbed,
+            },
         }
 
     def restore(self, state: dict) -> None:
@@ -388,28 +362,22 @@ class OPERBSimplifier(SegmentCascadeMixin, BlockIngestMixin):
             raise SimplificationError("restore() requires a fresh simplifier instance")
         self._index = int(state["index"])
         self._finished = bool(state["finished"])
-        self._previous_point = decode_point(state["previous_point"])
+        previous = state["previous_point"]
+        if previous is not None:
+            self._previous_x, self._previous_y, self._previous_t = previous
         self.stats = OperbStatistics(**state["stats"])
         segment = state["segment"]
-        if segment is None:
-            self._segment = None
-        else:
-            self._segment = _SegmentInProgress(
-                anchor=Point(*segment["anchor"]),
-                anchor_index=int(segment["anchor_index"]),
-                fitting=FittingState.from_snapshot(segment["fitting"], self.config),
-                last_active=decode_point(segment["last_active"]),
-                last_active_index=int(segment["last_active_index"]),
-                points_in_segment=int(segment["points_in_segment"]),
-            )
+        if segment is not None:
+            # The anchor and the last active fix are the fitting state's
+            # own; the snapshot repeats them for the format's sake.
+            self._fitting = FittingState.from_snapshot(segment["fitting"], self.config)
+            self._anchor_index = int(segment["anchor_index"])
+            self._last_active_index = int(segment["last_active_index"])
+            self._points_in_segment = int(segment["points_in_segment"])
         absorption = state["absorption"]
-        if absorption is None:
-            self._absorption = None
-        else:
-            self._absorption = _AbsorptionState(
-                segment=SegmentRecord.from_dict(absorption["segment"]),
-                absorbed=int(absorption["absorbed"]),
-            )
+        if absorption is not None:
+            self._absorb(SegmentRecord.from_dict(absorption["segment"]))
+            self._absorbed = int(absorption["absorbed"])
 
     # ------------------------------------------------------------------ #
     # Internal machinery
@@ -417,99 +385,121 @@ class OPERBSimplifier(SegmentCascadeMixin, BlockIngestMixin):
     def _register(self, segment: SegmentRecord) -> SegmentRecord:
         """Account for an emitted segment in the run statistics."""
         self.stats.segments_emitted += 1
-        if segment.is_anomalous:
+        if segment.point_count <= 2:  # is_anomalous, inlined (once per segment)
             self.stats.anomalous_segments += 1
         return segment
 
     def _start_segment(self, anchor: Point, anchor_index: int) -> None:
         """Open a new segment anchored at ``anchor``."""
-        self._segment = _SegmentInProgress(
-            anchor=anchor,
-            anchor_index=anchor_index,
-            fitting=FittingState(anchor, self.config),
-        )
+        fitting = self._spare_fitting
+        if fitting is None:
+            self._fitting = FittingState(anchor, self.config)
+        else:
+            self._spare_fitting = None
+            fitting.reset(anchor)
+            self._fitting = fitting
+        self._anchor_index = anchor_index
+        self._last_active_index = -1
+        self._points_in_segment = 1
 
-    def _finalize_segment(self) -> SegmentRecord:
-        """Close the current segment, returning its record."""
-        segment = self._segment
-        if segment is None:
-            raise SimplificationError("no open segment to finalise")
-        self.stats.merge_fitting(segment.fitting)
-        if segment.last_active is not None:
-            end_point = segment.last_active
-            end_index = segment.last_active_index
-        elif self._previous_point is not None and self._index - 1 > segment.anchor_index:
+    def _break_segment(
+        self, x: float, y: float, t: float, index: int, emitted: list[SegmentRecord]
+    ) -> None:
+        """Close the open segment at fix ``(x, y, t)`` and feed it to the next one."""
+        fitting = self._fitting
+        assert fitting is not None
+        self._fitting = None
+        self._spare_fitting = fitting
+        self.stats.distance_computations += fitting.stats.distance_computations
+        anchor_index = self._anchor_index
+        if fitting.has_direction:
+            end_point = Point(fitting.last_active_x, fitting.last_active_y, fitting.last_active_t)
+            end_index = self._last_active_index
+        elif index - 1 > anchor_index:
             # Extremely long runs of inactive points can exhaust the per-segment
             # cap before any active point appears; fall back to the previous point.
-            end_point = self._previous_point
-            end_index = self._index - 1
+            end_point = Point(self._previous_x, self._previous_y, self._previous_t)
+            end_index = index - 1
         else:
-            end_point = segment.anchor
-            end_index = segment.anchor_index
+            end_point = fitting.anchor
+            end_index = anchor_index
         # Inactive points observed after the last active point were checked
         # against this segment's lines (not the next segment's), so they stay
         # error-bounded by *this* segment: record them as covered by it.
-        covered_last = max(end_index, self._index - 1)
         record = SegmentRecord(
-            start=segment.anchor,
+            start=fitting.anchor,
             end=end_point,
-            first_index=segment.anchor_index,
+            first_index=anchor_index,
             last_index=end_index,
-            covered_last_index=covered_last,
+            covered_last_index=end_index if end_index > index - 1 else index - 1,
         )
-        self._segment = None
-        return record
-
-    def _break_segment(
-        self, point: Point, index: int, emitted: list[SegmentRecord]
-    ) -> None:
-        """Close the open segment at ``point`` and feed it to the next one."""
-        record = self._finalize_segment()
         if self.config.opt_absorb_trailing_points:
-            self._absorption = _AbsorptionState(segment=record)
-            if self._try_absorb(point, index):
+            self._absorb(record)
+            if self._try_absorb(x, y):
                 return
-            emitted.append(self._end_absorption())
-        else:
-            emitted.append(self._register(record))
-            self._start_segment(record.end, record.last_index)
+            self._absorbing = None
+        emitted.append(self._register(record))
+        self._start_segment(end_point, end_index)
         # The breaking point is the first point of the fresh segment; a
         # fresh fitting state can never report a violation for it.
-        fresh = self._segment
-        assert fresh is not None
-        fresh_outcome = fresh.fitting.observe(point)
-        if fresh_outcome is PointOutcome.VIOLATION:
+        outcome = self._fitting.observe(x, y, t)  # type: ignore[union-attr]
+        if outcome is PointOutcome.VIOLATION:
             raise SimplificationError(
                 "fresh segment rejected its first point; this is a bug"
             )
-        if fresh_outcome is PointOutcome.ACTIVE:
-            fresh.last_active = point
-            fresh.last_active_index = index
-        fresh.points_in_segment += 1
+        if outcome is PointOutcome.ACTIVE:
+            self._last_active_index = index
+        self._points_in_segment += 1
 
-    def _try_absorb(self, point: Point, index: int) -> bool:
-        """Optimisation 5: try to absorb ``point`` into the pending segment."""
-        absorption = self._absorption
-        assert absorption is not None
-        segment = absorption.segment
+    def _absorb(self, record: SegmentRecord) -> None:
+        """Optimisation 5: start absorbing trailing fixes into ``record``."""
+        self._absorbing = record
+        self._absorbed = 0
+        self._absorbing_count = record.point_count
+        self._absorbing_covered = record.covered_last_index
+
+    def _try_absorb(self, x: float, y: float) -> bool:
+        """Optimisation 5: try to absorb fix ``(x, y)`` into the pending segment."""
+        record = self._absorbing
+        assert record is not None
         self.stats.distance_computations += 1
-        distance = ped_point_to_chord(
-            point.x, point.y, segment.start.x, segment.start.y, segment.end.x, segment.end.y
-        )
-        if distance > self.config.epsilon:
+        start = record.start
+        end = record.end
+        if ped_point_to_chord(x, y, start.x, start.y, end.x, end.y) > self.config.epsilon:
             return False
-        self.stats.absorbed_points += 1
-        absorption.credit(1, index)
+        self._credit(1)
         return True
+
+    def _credit(self, count: int) -> None:
+        """Credit the last ``count`` fixes of the stream as absorbed."""
+        self.stats.absorbed_points += count
+        self._absorbed += count
+        self._absorbing_count += count
+        self._absorbing_covered = self._index
 
     def _end_absorption(self) -> SegmentRecord:
         """Stop absorbing, emit the pending segment, and open the next one."""
-        absorption = self._absorption
-        assert absorption is not None
-        record = absorption.segment
-        self._absorption = None
+        assert self._absorbing is not None
+        record = _credited(self._absorbing, self._absorbing_count, self._absorbing_covered)
+        self._absorbing = None
         self._start_segment(record.end, record.last_index)
         return self._register(record)
+
+
+def _credited(record: SegmentRecord, point_count: int, covered_last_index: int) -> SegmentRecord:
+    """``record`` crediting ``point_count`` points, covered to ``covered_last_index``."""
+    if point_count == record.point_count:
+        return record  # nothing absorbed since it was closed (or restored)
+    return SegmentRecord(
+        start=record.start,
+        end=record.end,
+        first_index=record.first_index,
+        last_index=record.last_index,
+        point_count=point_count,
+        covered_last_index=covered_last_index,
+        patched_start=record.patched_start,
+        patched_end=record.patched_end,
+    )
 
 
 def operb(

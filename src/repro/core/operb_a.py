@@ -11,12 +11,12 @@ space (the buffer holds at most two segments).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from ..exceptions import SimplificationError
 from ..geometry.point import Point
-from ..trajectory.blocks import BlockIngestMixin
+from ..trajectory.blocks import BlockIngestMixin, drive_block_steps
 from ..trajectory.model import Trajectory
 from ..trajectory.piecewise import (
     PiecewiseRepresentation,
@@ -68,8 +68,9 @@ class OPERBASimplifier(SegmentCascadeMixin, BlockIngestMixin):
     name = "operb-a"
 
     # Not snapshot state (RPA001): the config is immutable and supplied by
-    # the restoring side.
-    _SNAPSHOT_EXCLUDE = frozenset({"config"})
+    # the restoring side; ``_probe_backoff`` is block-ingest probe spacing,
+    # which never affects output.
+    _SNAPSHOT_EXCLUDE = frozenset({"config", "_probe_backoff"})
 
     def __init__(self, config: OperbAConfig) -> None:
         self.config = config
@@ -77,6 +78,7 @@ class OPERBASimplifier(SegmentCascadeMixin, BlockIngestMixin):
         self._pending: list[SegmentRecord] = []
         self.stats = OperbAStatistics()
         self._finished = False
+        self._probe_backoff = 0
 
     # ------------------------------------------------------------------ #
     # Public streaming API
@@ -100,8 +102,15 @@ class OPERBASimplifier(SegmentCascadeMixin, BlockIngestMixin):
         """Feed the next trajectory point; return any finalised segments."""
         if self._finished:
             raise SimplificationError("push() called after finish()")
+        return self._step(point.x, point.y, point.t)
+
+    def _step(self, x: float, y: float, t: float) -> list[SegmentRecord]:
+        """Ingest the fix ``(x, y, t)`` through the engine's float step."""
+        segments = self._engine._step(x, y, t)
+        if not segments:
+            return segments
         emitted: list[SegmentRecord] = []
-        for segment in self._engine.push(point):
+        for segment in segments:
             emitted.extend(self._accept(segment))
         return emitted
 
@@ -110,37 +119,12 @@ class OPERBASimplifier(SegmentCascadeMixin, BlockIngestMixin):
     ) -> Iterator[tuple[int, list[SegmentRecord]]]:
         """Block loop behind :meth:`push_block`.
 
-        The OPERB engine underneath ingests the block through its vectorized
-        fast path; every segment it finalises runs through the same lazy
-        patching buffer as in per-point mode.
+        The OPERB engine's vectorized probe bulk-ingests the absorbed runs
+        (they close no segment); every other fix takes this simplifier's
+        step, so the segments the engine finalises run through the same
+        lazy patching buffer as in per-fix mode.
         """
-        silent = 0
-        steps = self._engine.push_block_steps(block)
-        while True:
-            try:
-                count, segments = next(steps)
-                emitted: list[SegmentRecord] = []
-                for segment in segments:
-                    emitted.extend(self._accept(segment))
-            except StopIteration:
-                break
-            except BaseException:
-                # Deliver the coalesced silent prefix before the failure
-                # surfaces, so traced consumers account the ingested points
-                # exactly as per-point routing would (the engine has already
-                # delivered its own pending prefix the same way).
-                if silent:
-                    yield silent, []
-                raise
-            # The lazy buffer may hold everything back, turning an emitting
-            # engine step into a silent one at this level.
-            if emitted:
-                yield silent + count, emitted
-                silent = 0
-            else:
-                silent += count
-        if silent:
-            yield silent, []
+        return drive_block_steps(self, block, self._engine._block_probe(block))
 
     def finish(self) -> list[SegmentRecord]:
         """Flush the engine and the lazy buffer."""
@@ -189,7 +173,8 @@ class OPERBASimplifier(SegmentCascadeMixin, BlockIngestMixin):
     # ------------------------------------------------------------------ #
     def _accept(self, segment: SegmentRecord) -> list[SegmentRecord]:
         """Run one finalised segment through the lazy buffer."""
-        if segment.is_anomalous:
+        is_anomalous = segment.is_anomalous
+        if is_anomalous:
             self.stats.anomalous_segments += 1
 
         if not self._pending:
@@ -202,7 +187,7 @@ class OPERBASimplifier(SegmentCascadeMixin, BlockIngestMixin):
             # it for its error bound: it must represent exactly its own two
             # endpoints and must not have absorbed any trailing points.
             patchable = (
-                segment.is_anomalous
+                is_anomalous
                 and segment.covered_last_index == segment.last_index
                 and self.config.enable_patching
             )
@@ -217,14 +202,11 @@ class OPERBASimplifier(SegmentCascadeMixin, BlockIngestMixin):
         decision = compute_patch_point(
             previous, segment, epsilon=self.config.epsilon, gamma_max=self.config.gamma_max
         )
-        if decision.accepted:
-            patch = decision.patch_point
-            assert patch is not None
-            patched_previous = replace(previous, end=patch, patched_end=True)
-            patched_next = replace(segment, start=patch, patched_start=True)
+        patch = decision.patch_point
+        if patch is not None:
             self.stats.patches_applied += 1
-            self._pending = [patched_next]
-            return [patched_previous]
+            self._pending = [segment.with_start(patch)]
+            return [previous.with_end(patch)]
 
         self.stats.patches_rejected += 1
         assert self.stats.rejection_reasons is not None

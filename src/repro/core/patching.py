@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from ..geometry.angles import angle_of, normalize_signed_angle
-from ..geometry.intersection import intersect_lines, project_onto_direction
+from ..geometry.intersection import intersect_lines
 from ..geometry.point import Point
 from ..trajectory.piecewise import SegmentRecord
 
@@ -74,48 +74,43 @@ def compute_patch_point(
     itself is implicit: its endpoints are ``previous.end`` and
     ``following.start``.
     """
-    if previous.length == 0.0 or following.length == 0.0:
+    # Flattened onto float locals — it runs for every anomalous pair of the
+    # stream — with the IEEE operations of ``SegmentRecord.length`` and
+    # ``project_onto_direction``, in the same order.
+    ps, pe, fs, fe = previous.start, previous.end, following.start, following.end
+    previous_length = math.hypot(ps.x - pe.x, ps.y - pe.y)
+    if previous_length == 0.0 or math.hypot(fs.x - fe.x, fs.y - fe.y) == 0.0:
         return PatchDecision(None, reason="degenerate-neighbour")
 
-    theta_prev = angle_of(
-        previous.end.x - previous.start.x, previous.end.y - previous.start.y
-    )
-    theta_next = angle_of(
-        following.end.x - following.start.x, following.end.y - following.start.y
-    )
+    theta_prev = angle_of(pe.x - ps.x, pe.y - ps.y)
+    theta_next = angle_of(fe.x - fs.x, fe.y - fs.y)
 
     # Condition 3: the direction change must stay within pi - gamma_max.
     # This runs once per closed segment on the one-pass stream, so it stays
     # a scalar check; repro.geometry.kernels.angular_ranges_overlap is the
     # equivalent batched form for fleet-level analyses.
-    turn = abs(normalize_signed_angle(theta_next - theta_prev))
-    if turn > math.pi - gamma_max:
+    if abs(normalize_signed_angle(theta_next - theta_prev)) > math.pi - gamma_max:
         return PatchDecision(None, reason="turn-angle")
 
-    intersection = intersect_lines(
-        previous.start, previous.end, following.start, following.end
-    )
+    intersection = intersect_lines(ps, pe, fs, fe)
     if intersection is None:
         return PatchDecision(None, reason="parallel-lines")
+    gx, gy = intersection.x, intersection.y
 
     # Condition 1a: G lies forward of previous.start along previous' direction.
-    forward_on_previous = project_onto_direction(intersection, previous.start, theta_prev)
+    forward_on_previous = (gx - ps.x) * math.cos(theta_prev) + (gy - ps.y) * math.sin(theta_prev)
     if forward_on_previous < 0.0:
         return PatchDecision(None, reason="behind-previous-start")
 
     # Condition 1b: following.start lies forward of G along following's
     # direction (so G -> following.start -> following.end are collinear and
     # ordered, i.e. G sits on the backward extension of the following segment).
-    forward_to_following_start = project_onto_direction(
-        following.start, intersection, theta_next
-    )
-    if forward_to_following_start < -1e-9:
+    if (fs.x - gx) * math.cos(theta_next) + (fs.y - gy) * math.sin(theta_next) < -1e-9:
         return PatchDecision(None, reason="beyond-following-start")
 
     # Condition 2: |Ps G| >= |Ps Pe| - zeta / 2.
-    if forward_on_previous < previous.length - 0.5 * epsilon:
+    if forward_on_previous < previous_length - 0.5 * epsilon:
         return PatchDecision(None, reason="retreats-too-far")
 
-    timestamp = 0.5 * (previous.end.t + following.start.t)
-    patch = Point(intersection.x, intersection.y, timestamp)
-    return PatchDecision(patch)
+    return PatchDecision(Point(gx, gy, 0.5 * (pe.t + fs.t)))
+

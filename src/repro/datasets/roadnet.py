@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from ..exceptions import DatasetError, InvalidParameterError
+from ..exceptions import InvalidParameterError
 from ..trajectory.model import Trajectory
 from .synthetic import waypoint_trajectory
 
@@ -63,24 +63,6 @@ class GridRoadNetwork:
     def random_node(self, rng: np.random.Generator) -> tuple[int, int]:
         """A uniformly random intersection."""
         return (int(rng.integers(0, self.rows)), int(rng.integers(0, self.cols)))
-
-    def shortest_route(
-        self, rng: np.random.Generator, *, min_hops: int = 4
-    ) -> list[tuple[float, float]]:
-        """Waypoints (metres) of a shortest-path route between two random nodes.
-
-        Routes shorter than ``min_hops`` intersections are re-drawn so a
-        route always contains at least a few potential turns.
-        """
-        for _ in range(64):
-            origin = self.random_node(rng)
-            destination = self.random_node(rng)
-            if origin == destination:
-                continue
-            path = nx.shortest_path(self._graph, origin, destination)
-            if len(path) >= min_hops:
-                return [self.node_position(node) for node in path]
-        raise DatasetError("could not draw a route of the requested length")
 
     def random_route(
         self,

@@ -108,40 +108,42 @@ class _CascadeVerifier:
         self._pushed += 2 if include_start else 1
         self._pending.append((segment, self._pushed - 1))
 
-    def _within(self, point: Point, line: tuple[float, float, float, float]) -> bool:
-        ax, ay, bx, by = line
-        dx = bx - ax
-        dy = by - ay
-        norm = math.hypot(dx, dy)
-        if norm == 0.0:
-            return math.hypot(point.x - ax, point.y - ay) <= self._tolerance
-        offset = abs((point.x - ax) * dy - (point.y - ay) * dx) / norm
-        return offset <= self._tolerance
-
     def _certified(self, segment: SegmentRecord) -> bool:
-        for line in reversed(self._lines):
-            if self._within(segment.start, line) and self._within(segment.end, line):
+        """Whether both chord endpoints lie within the bound of one recent line."""
+        sx, sy = segment.start.x, segment.start.y
+        ex, ey = segment.end.x, segment.end.y
+        tol = self._tolerance
+        for ax, ay, bx, by in reversed(self._lines):
+            dx = bx - ax
+            dy = by - ay
+            norm = math.hypot(dx, dy)
+            if norm == 0.0:
+                if math.hypot(sx - ax, sy - ay) <= tol and math.hypot(ex - ax, ey - ay) <= tol:
+                    return True
+            elif (
+                abs((sx - ax) * dy - (sy - ay) * dx) / norm <= tol
+                and abs((ex - ax) * dy - (ey - ay) * dx) / norm <= tol
+            ):
                 return True
         return False
 
     def admit(self, emissions: list[SegmentRecord]) -> list[SegmentRecord]:
         """Interleave fallback chords into the level's emissions, in order."""
         out: list[SegmentRecord] = []
+        lines = self._lines
+        pending = self._pending
         for record in emissions:
-            self._lines.append(
-                (record.start.x, record.start.y, record.end.x, record.end.y)
-            )
-            if len(self._lines) > _VERIFY_LINES:
-                del self._lines[0]
-            still_pending: list[tuple[SegmentRecord, int]] = []
-            for chord in self._pending:
-                segment, end_index = chord
-                if end_index <= record.first_index:
-                    if not self._certified(segment):
-                        out.append(segment)
-                else:
-                    still_pending.append(chord)
-            self._pending = still_pending
+            lines.append((record.start.x, record.start.y, record.end.x, record.end.y))
+            if len(lines) > _VERIFY_LINES:
+                del lines[0]
+            # Chords are registered in feed order, so their end indices
+            # ascend and the ones this emission moved past form a prefix.
+            due = 0
+            while due < len(pending) and pending[due][1] <= record.first_index:
+                if not self._certified(pending[due][0]):
+                    out.append(pending[due][0])
+                due += 1
+            del pending[:due]
             out.append(record)
         return out
 
@@ -304,41 +306,37 @@ class PyramidSession:
                 return
             cascade = self._cascades[i]
             verifier = self._verify[i]
+            # A long batch (block ingest on the finest level) is packed
+            # into one SoA block so the cascade runs its vectorized prefix
+            # kernels over the endpoint stream instead of one Python push
+            # per segment — the optimisation that keeps a k-level pyramid
+            # well under k times the single-level cost.
+            block_feed = len(segments) >= _BLOCK_FEED_MIN and hasattr(cascade, "push_block")
+            points: list[Point] = []
             out: list[SegmentRecord] = []
-            push_block = getattr(cascade, "push_block", None)
-            if push_block is not None and len(segments) >= _BLOCK_FEED_MIN:
-                # A long batch (block ingest on the finest level) is packed
-                # into one SoA block so the cascade runs its vectorized
-                # prefix kernels over the endpoint stream instead of one
-                # Python push per segment — the optimisation that keeps a
-                # k-level pyramid well under k times the single-level cost.
-                points: list[Point] = []
-                for segment in segments:
-                    include_start = (
-                        not self._primed[i] or segment.start != self._tails[i]
-                    )
-                    if include_start:
-                        points.append(segment.start)
-                    points.append(segment.end)
-                    verifier.register(segment, include_start)
-                    self._primed[i] = True
-                    self._tails[i] = segment.end
-                out = list(push_block(PointBlock.from_points(points)))
-            else:
-                for segment in segments:
-                    # The very first segment (or a joint the finer level
-                    # patched away from the previous tail) must contribute
-                    # its start vertex too; a continuing segment only adds
-                    # its end.
-                    include_start = (
-                        not self._primed[i] or segment.start != self._tails[i]
-                    )
-                    verifier.register(segment, include_start)
-                    out.extend(
-                        cascade.push_segment(segment, include_start=include_start)  # type: ignore[attr-defined]
-                    )
-                    self._primed[i] = True
-                    self._tails[i] = segment.end
+            # The very first segment (or a joint the finer level patched
+            # away from the previous tail) must contribute its start vertex
+            # too; a continuing segment only adds its end.  Consecutive
+            # segments usually share the joint object, so identity decides
+            # before the coordinate comparison.
+            tail = self._tails[i] if self._primed[i] else None
+            push_segment = cascade.push_segment  # type: ignore[attr-defined]
+            for segment in segments:
+                head = segment.start
+                include_start = tail is None or (head is not tail and head != tail)
+                verifier.register(segment, include_start)
+                tail = segment.end
+                if not block_feed:
+                    out.extend(push_segment(segment, include_start=include_start))
+                    continue
+                if include_start:
+                    points.append(head)
+                points.append(tail)
+            self._primed[i] = True
+            self._tails[i] = tail
+            if block_feed:
+                block = PointBlock.from_points(points)
+                out = cascade.push_block(block)  # type: ignore[attr-defined]
             out = verifier.admit(out)
             if out:
                 self._pending[i].extend(out)

@@ -2,8 +2,8 @@
 
 The streaming simplifiers' batched ingest all follows one shape: *probe*
 the head of the remaining block with a vectorized prefix kernel, bulk-apply
-the absorbed run, replay the run-breaking point through the exact scalar
-``push``, and coalesce silent pushes into ``(count, segments)`` steps.  The
+the absorbed run, replay the run-breaking fix through the exact scalar
+step, and coalesce silent pushes into ``(count, segments)`` steps.  The
 adaptive policy around it — exponential scalar backoff when probes are
 unprofitable (see the ``BLOCK_*`` constants in
 :mod:`repro.geometry.kernels`), backoff reset when a probe fills its
@@ -12,8 +12,17 @@ surfaces — is algorithm-independent, so it lives here exactly once;
 each simplifier contributes only its probe.
 
 :class:`BlockIngestMixin` holds the protocol boilerplate around that loop —
-``push_block``, the ``push_block_steps`` guard and the per-point batch
+``push_block``, the ``push_block_steps`` guard and the per-fix batch
 ``simplify`` — so the native streaming simplifiers write it only once.
+
+The host contract is one scalar step over floats, ``_step(x, y, t)``: it
+ingests the next fix and returns a fresh (possibly empty) list of the
+segments that fix finalised.  ``push(point)`` checks ``finish()`` and
+passes ``point.x, point.y, point.t`` to it; the block driver's replays
+(from the block's columns) and ``simplify`` (from ``tolist()`` column
+chunks) call it directly.  OPERB, OPERB-A and dead reckoning hold floats
+and box only the fixes they keep; FBQS, whose window holds ``Point``s,
+boxes every fix there.
 """
 
 from __future__ import annotations
@@ -34,10 +43,11 @@ __all__ = ["BlockIngestMixin", "drive_block_steps"]
 class BlockIngestMixin:
     """Block-ingest protocol and batch ``simplify`` for push/finish simplifiers.
 
-    The host class supplies ``push``/``finish``, a ``name``, a ``_finished``
-    flag, an ``_index`` stream position (or its own :meth:`_is_fresh`) and
-    ``_block_steps(block)`` — its traced block loop, usually
-    :func:`drive_block_steps` around the simplifier's probe.  Defined here
+    The host class supplies ``push``/``finish``, the float step
+    ``_step(x, y, t)`` (see the module docstring), a ``name``, a
+    ``_finished`` flag, an ``_index`` stream position (or its own
+    :meth:`_is_fresh`) and ``_block_steps(block)`` — its traced block
+    loop, usually :func:`drive_block_steps` around the simplifier's probe.  Defined here
     rather than in :mod:`repro.algorithms.base` for the same reason as
     :class:`~repro.trajectory.piecewise.SegmentCascadeMixin`: ``repro.core``
     simplifiers inherit it and must not import the ``algorithms`` package.
@@ -84,10 +94,13 @@ class BlockIngestMixin:
         """Simplify a whole trajectory with this (fresh) simplifier instance."""
         if not self._is_fresh():
             raise SimplificationError("simplify() requires a fresh simplifier instance")
-        push = self.push  # type: ignore[attr-defined]
+        step = self._step  # type: ignore[attr-defined]
         segments: list[SegmentRecord] = []
-        for point in trajectory:
-            segments.extend(push(point))
+        for xs, ys, ts in trajectory.column_chunks():
+            for x, y, t in zip(xs, ys, ts):
+                emitted = step(x, y, t)
+                if emitted:
+                    segments.extend(emitted)
         segments.extend(self.finish())  # type: ignore[attr-defined]
         return PiecewiseRepresentation(
             segments=segments, source_size=len(trajectory), algorithm=self.name
@@ -116,19 +129,26 @@ def drive_block_steps(
 
     The driver owns the shared policy: the scalar-backoff budget (tracked
     on ``simplifier._probe_backoff`` so it survives across blocks), the
-    run-breaking points' replay through the exact scalar ``push``, and the
+    run-breaking fixes' replay through the exact scalar ``_step`` (fed from
+    the block's columns, never a ``Point``), and the
     coalescing of silent pushes into ``(count, segments)`` steps — each
     step means "``count`` further points were ingested and the last of them
-    emitted ``segments``".  If a scalar push raises, the pending silent
+    emitted ``segments``".  If a scalar step raises, the pending silent
     prefix is yielded first and the exception surfaces on the consumer's
     next resumption, so traced consumers (the hub's per-device accounting)
     count exactly the points ingested before the failure — matching
     per-point routing.
     """
     n = len(block)
+    step = simplifier._step  # type: ignore[attr-defined]
+    xs, ys, ts = block.xs, block.ys, block.ts
     i = 0
     silent = 0
     scalar_budget = 0
+    stretch_start = stretch_stop = 0
+    stretch_x: list[float] = []
+    stretch_y: list[float] = []
+    stretch_t: list[float] = []
     while i < n:
         if scalar_budget > 0:
             scalar_budget -= 1
@@ -156,11 +176,21 @@ def drive_block_steps(
                         max(kernels.BLOCK_MIN_RUN, 2 * simplifier._probe_backoff),
                     )
                     scalar_budget = simplifier._probe_backoff
-        # The run-breaking point (or a point with no probe to run) takes
-        # the exact scalar path, so every decision and statistic matches
-        # per-point ingest bit for bit.
+        # The run-breaking fix (or a fix with no probe to run) takes the
+        # exact scalar step, so every decision and statistic matches
+        # per-fix ingest bit for bit.  A backoff stretch (this fix and the
+        # budget after it) converts its columns to floats in one go.
+        if i >= stretch_stop and scalar_budget:
+            stretch_start, stretch_stop = i, min(n, i + scalar_budget + 1)
+            stretch_x = xs[i:stretch_stop].tolist()
+            stretch_y = ys[i:stretch_stop].tolist()
+            stretch_t = ts[i:stretch_stop].tolist()
         try:
-            emitted = simplifier.push(block.point(i))
+            if i < stretch_stop:
+                k = i - stretch_start
+                emitted = step(stretch_x[k], stretch_y[k], stretch_t[k])
+            else:
+                emitted = step(xs.item(i), ys.item(i), ts.item(i))
         except BaseException:
             if silent:
                 yield silent, []

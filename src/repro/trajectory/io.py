@@ -19,8 +19,6 @@ consumed downstream.
 from __future__ import annotations
 
 import csv
-import datetime as _dt
-import io
 import json
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -41,7 +39,6 @@ __all__ = [
     "write_piecewise_csv",
 ]
 
-_GEOLIFE_EPOCH = _dt.datetime(1899, 12, 30)
 _PLT_HEADER_LINES = 6
 
 
@@ -219,15 +216,3 @@ def write_piecewise_csv(
     finally:
         if close:
             handle.close()
-
-
-def geolife_days_to_datetime(days: float) -> _dt.datetime:
-    """Convert a GeoLife day-number timestamp to a :class:`datetime.datetime`."""
-    return _GEOLIFE_EPOCH + _dt.timedelta(days=days)
-
-
-def trajectory_to_csv_string(trajectory: Trajectory) -> str:
-    """Serialise a trajectory to a CSV string (useful in tests and examples)."""
-    buffer = io.StringIO()
-    write_csv(trajectory, buffer)
-    return buffer.getvalue()

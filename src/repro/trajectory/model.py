@@ -3,7 +3,7 @@
 A trajectory (paper Section 3.1) is a sequence of data points ``P(x, y, t)``
 ordered by time.  The container is NumPy-backed so batch algorithms and
 metrics can operate on whole coordinate arrays at once, while streaming
-algorithms iterate over :class:`~repro.geometry.point.Point` views.
+simplifiers step through it as float columns (:meth:`Trajectory.column_chunks`).
 """
 
 from __future__ import annotations
@@ -153,10 +153,6 @@ class Trajectory:
         """The timestamp array (do not mutate)."""
         return self._ts
 
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Copies of the ``(xs, ys, ts)`` arrays."""
-        return self._xs.copy(), self._ys.copy(), self._ts.copy()
-
     def soa(self) -> "TrajectoryArray":
         """Cached structure-of-arrays view for the vectorized kernels.
 
@@ -186,15 +182,18 @@ class Trajectory:
         return Point(float(self._xs[index]), float(self._ys[index]), float(self._ts[index]))
 
     def __iter__(self) -> Iterator[Point]:
-        # Columns are converted to Python floats a chunk at a time: one
-        # ``tolist()`` per column instead of three numpy-scalar conversions
-        # per point, without materialising a huge trajectory as lists.
-        for start in range(0, len(self), _ITER_CHUNK):
-            stop = start + _ITER_CHUNK
-            xs = self._xs[start:stop].tolist()
-            ys = self._ys[start:stop].tolist()
-            ts = self._ts[start:stop].tolist()
+        for xs, ys, ts in self.column_chunks():
             yield from map(Point, xs, ys, ts)
+
+    def column_chunks(self) -> Iterator[tuple[list[float], list[float], list[float]]]:
+        """The ``(xs, ys, ts)`` columns as Python float lists, a chunk at a time.
+
+        One ``tolist()`` per column, not three numpy-scalar conversions per
+        point, and never a huge trajectory as lists at once.
+        """
+        for start in range(0, len(self), _ITER_CHUNK):
+            chunk = slice(start, start + _ITER_CHUNK)
+            yield self._xs[chunk].tolist(), self._ys[chunk].tolist(), self._ts[chunk].tolist()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trajectory):

@@ -13,7 +13,6 @@ from typing import Iterable
 import numpy as np
 
 from ..exceptions import InvalidParameterError
-from ..geometry.point import Point
 from .model import Trajectory
 
 __all__ = [
@@ -181,8 +180,3 @@ def translate(trajectory: Trajectory, dx: float, dy: float, dt: float = 0.0) -> 
         trajectory.ts + dt,
         trajectory_id=trajectory.trajectory_id,
     )
-
-
-def points_from_xy(xs: Iterable[float], ys: Iterable[float]) -> list[Point]:
-    """Convenience: zip two coordinate iterables into a list of points."""
-    return [Point(float(x), float(y), float(index)) for index, (x, y) in enumerate(zip(xs, ys))]

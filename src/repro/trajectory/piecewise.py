@@ -9,17 +9,16 @@ distribution of Exp-2.3 can be computed afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Iterator, Sequence
 
-from ..exceptions import InvalidTrajectoryError
-from ..geometry.point import Point, encode_point
-from ..geometry.segment import DirectedSegment
+from ..exceptions import InvalidTrajectoryError, SimplificationError
+from ..geometry.point import Point, encode_point, slot_setters
 
 __all__ = ["SegmentRecord", "SegmentCascadeMixin", "PiecewiseRepresentation"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SegmentRecord:
     """One directed line segment of a piecewise representation.
 
@@ -52,11 +51,21 @@ class SegmentRecord:
     patched_start: bool = False
     patched_end: bool = False
 
-    def __post_init__(self) -> None:
-        if self.point_count < 0:
-            object.__setattr__(self, "point_count", self.last_index - self.first_index + 1)
-        if self.covered_last_index < 0:
-            object.__setattr__(self, "covered_last_index", self.last_index)
+    def __init__(
+        self, start: Point, end: Point, first_index: int, last_index: int,
+        point_count: int = -1, covered_last_index: int = -1,
+        patched_start: bool = False, patched_end: bool = False,
+    ) -> None:
+        # Once per emitted segment (see slot_setters); negative counts mean
+        # "derive the default".
+        _set_start(self, start)
+        _set_end(self, end)
+        _set_first_index(self, first_index)
+        _set_last_index(self, last_index)
+        _set_point_count(self, last_index - first_index + 1 if point_count < 0 else point_count)
+        _set_covered_last_index(self, last_index if covered_last_index < 0 else covered_last_index)
+        _set_patched_start(self, patched_start)
+        _set_patched_end(self, patched_end)
 
     @classmethod
     def from_indices(cls, trajectory, first_index: int, last_index: int) -> "SegmentRecord":
@@ -111,21 +120,25 @@ class SegmentRecord:
         """Euclidean length of the segment."""
         return self.start.distance_to(self.end)
 
-    def as_directed_segment(self) -> DirectedSegment:
-        """The geometric :class:`DirectedSegment` view of this record."""
-        return DirectedSegment.from_points(self.start, self.end)
-
     def covers_index(self, index: int) -> bool:
         """Whether original point ``index`` is represented by this segment."""
         return self.first_index <= index <= self.covered_last_index
 
+    # The two endpoint copies run once per OPERB-A patch, so they call the
+    # constructor directly instead of the slower ``dataclasses.replace``.
     def with_start(self, start: Point, *, patched: bool = True) -> "SegmentRecord":
         """Copy with a replaced (typically patched) start point."""
-        return replace(self, start=start, patched_start=patched)
+        return SegmentRecord(
+            start, self.end, self.first_index, self.last_index,
+            self.point_count, self.covered_last_index, patched, self.patched_end,
+        )
 
     def with_end(self, end: Point, *, patched: bool = True) -> "SegmentRecord":
         """Copy with a replaced (typically patched) end point."""
-        return replace(self, end=end, patched_end=patched)
+        return SegmentRecord(
+            self.start, end, self.first_index, self.last_index,
+            self.point_count, self.covered_last_index, self.patched_start, patched,
+        )
 
     def with_point_count(self, point_count: int) -> "SegmentRecord":
         """Copy with an adjusted credited point count."""
@@ -136,14 +149,21 @@ class SegmentRecord:
         return replace(self, covered_last_index=covered_last_index)
 
 
+(_set_start, _set_end, _set_first_index, _set_last_index, _set_point_count,
+ _set_covered_last_index, _set_patched_start, _set_patched_end) = slot_setters(
+    SegmentRecord, *(spec.name for spec in fields(SegmentRecord))
+)
+
+
 class SegmentCascadeMixin:
     """Segment re-ingest hook for epsilon-pyramid cascades.
 
     A coarser pyramid level consumes the finer level's *segment endpoints*
     instead of the raw point stream — O(segments), not O(points).  Any
-    push/finish simplifier that inherits this mixin gains ``push_segment``
-    and thereby satisfies the ``pyramid`` capability flag (RPA002 checks
-    that the hook is actually defined).
+    simplifier with the block-ingest float step ``_step(x, y, t)`` and a
+    ``_finished`` flag (see :mod:`repro.trajectory.blocks`) that inherits
+    this mixin gains ``push_segment`` and thereby satisfies the ``pyramid``
+    capability flag (RPA002 checks that the hook is actually defined).
 
     Defined here rather than in :mod:`repro.algorithms.base` (which
     re-exports it) because ``repro.core`` simplifiers inherit it, and
@@ -166,11 +186,15 @@ class SegmentCascadeMixin:
         very first segment of a stream, or after a gap), then
         ``segment.end``.  Returns the segments emitted, in push order.
         """
-        push = self.push  # type: ignore[attr-defined]
-        emitted: list[SegmentRecord] = []
-        if include_start:
-            emitted.extend(push(segment.start))
-        emitted.extend(push(segment.end))
+        if self._finished:  # type: ignore[attr-defined]
+            raise SimplificationError("push() called after finish()")
+        step = self._step  # type: ignore[attr-defined]
+        end = segment.end
+        if not include_start:
+            return step(end.x, end.y, end.t)
+        start = segment.start
+        emitted = step(start.x, start.y, start.t)
+        emitted.extend(step(end.x, end.y, end.t))
         return emitted
 
 

@@ -237,50 +237,28 @@ class PointBlock(TrajectoryArray):
 
     Blocks share :class:`TrajectoryArray`'s contiguous ``float64``
     ``(xs, ys, ts)`` arrays and validation; construction from an existing
-    trajectory or from contiguous arrays is zero-copy.  A block built with
-    :meth:`from_points` additionally keeps the source :class:`Point` objects
-    so consumers that fall back to per-point processing (the scalar boundary
-    pushes, the generic fallback for non-batched algorithms) never rebuild
-    them from the arrays.
+    trajectory or from contiguous arrays is zero-copy.  Block ingest reads
+    the columns (see :mod:`repro.trajectory.blocks`), so a block keeps no
+    per-point objects.
     """
 
-    __slots__ = ("_points",)
-
-    _points: Sequence[Point] | None
-
-    def __init__(
-        self,
-        xs: npt.ArrayLike,
-        ys: npt.ArrayLike,
-        ts: npt.ArrayLike,
-        *,
-        trajectory_id: str = "",
-    ) -> None:
-        super().__init__(xs, ys, ts, trajectory_id=trajectory_id)
-        self._points = None
+    __slots__ = ()
 
     @classmethod
     def from_points(cls, points: Iterable[Point]) -> "PointBlock":
         """Pack an iterable of points into one block (arrival order kept)."""
         pts = points if isinstance(points, (list, tuple)) else list(points)
-        block = cls(
+        return cls(
             np.array([p.x for p in pts], dtype=float),
             np.array([p.y for p in pts], dtype=float),
             np.array([p.t for p in pts], dtype=float),
         )
-        block._points = pts
-        return block
 
     @classmethod
     def concat(cls, blocks: Sequence["PointBlock"]) -> "PointBlock":
         """Concatenate several blocks into one (empty input gives an empty block)."""
         if not blocks:
             return cls.empty()
-        if len(blocks) == 1:
-            block = blocks[0]
-            merged = cls(block.xs, block.ys, block.ts)
-            merged._points = block._points
-            return merged
         return cls(
             np.concatenate([block.xs for block in blocks]),
             np.concatenate([block.ys for block in blocks]),
@@ -294,22 +272,13 @@ class PointBlock(TrajectoryArray):
             np.array([], dtype=float), np.array([], dtype=float), np.array([], dtype=float)
         )
 
-    def point(self, index: int) -> Point:
-        """The :class:`Point` at ``index`` (cached when built from points)."""
-        if self._points is not None:
-            return self._points[index]
-        return super().point(index)
-
     def __getitem__(self, index: int) -> Point:
         """``block[i]`` is :meth:`point`: a block indexes like a point sequence."""
         return self.point(index)
 
     def slice(self, start: int, stop: int) -> "PointBlock":
         """Sub-block view of ``[start, stop)`` (no array copy)."""
-        block = type(self)(self.xs[start:stop], self.ys[start:stop], self.ts[start:stop])
-        if self._points is not None:
-            block._points = self._points[start:stop]
-        return block
+        return type(self)(self.xs[start:stop], self.ys[start:stop], self.ts[start:stop])
 
     def split(self, block_size: int) -> "list[PointBlock]":
         """Chop into consecutive sub-blocks of at most ``block_size`` points."""
@@ -322,16 +291,6 @@ class PointBlock(TrajectoryArray):
             for start in range(0, len(self), block_size)
         ]
 
-    def iter_points(self) -> Iterator[Point]:
-        """Iterate the block as :class:`Point` objects (the per-point view)."""
-        if self._points is not None:
-            return iter(self._points)
-        return self._materialize_points()
-
-    def _materialize_points(self) -> Iterator[Point]:
-        xs, ys, ts = self.xs, self.ys, self.ts
-        for i in range(xs.shape[0]):
-            yield Point(float(xs[i]), float(ys[i]), float(ts[i]))
-
     def __iter__(self) -> Iterator[Point]:
-        return self.iter_points()
+        """Iterate the block as :class:`Point` objects (the per-point view)."""
+        return map(Point, self.xs.tolist(), self.ys.tolist(), self.ts.tolist())

@@ -5,17 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _builders import build_trajectory
+
 from repro import Point, Trajectory
 from repro.datasets import generate_trajectory
 from repro.perf.workloads import build_device_log
-
-
-def build_trajectory(points: list[tuple[float, float]], *, dt: float = 1.0) -> Trajectory:
-    """Build a trajectory from ``(x, y)`` pairs with evenly spaced timestamps."""
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    ts = [i * dt for i in range(len(points))]
-    return Trajectory(xs, ys, ts)
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from repro import InvalidParameterError, Trajectory
 from repro.algorithms.douglas_peucker import douglas_peucker, douglas_peucker_sed, dp_retained_indices
 from repro.metrics import check_error_bound, max_error
 
-from conftest import build_trajectory
+from _builders import build_trajectory
 
 
 class TestRetainedIndices:

@@ -11,7 +11,7 @@ from repro.algorithms.opw import opw, opw_tr
 from repro.geometry.distance import point_to_line_distance
 from repro.metrics import check_error_bound, max_error
 
-from conftest import build_trajectory
+from _builders import build_trajectory
 
 
 class TestOpw:

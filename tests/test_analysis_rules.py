@@ -98,6 +98,25 @@ class TestCheckpointDriftRPA001:
         )
         assert triples(findings) == [("RPA001", 3, "Simplifier._n")]
 
+    def test_state_set_only_in_the_float_step_is_reported(self):
+        # The per-fix state of a block-ingest host changes in ``_step``.
+        findings = lint(
+            """\
+            class Simplifier:
+                def push(self, point):
+                    return self._step(point.x, point.y, point.t)
+
+                def _step(self, x, y, t):
+                    self._previous_x = x
+                    return []
+
+                def snapshot(self):
+                    return {}
+            """,
+            rules=["RPA001"],
+        )
+        assert triples(findings) == [("RPA001", 6, "Simplifier._previous_x")]
+
 
 class TestCapabilityConsistencyRPA002:
     def test_batched_without_push_block_is_reported(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -75,45 +76,45 @@ class TestFittingStateExample4:
         self.state = FittingState(Point(0.0, 0.0), self.config)
 
     def test_point_inside_zone_zero_is_inactive(self):
-        outcome = self.state.observe(Point(0.5, 0.0))
+        outcome = self.state.observe(*Point(0.5, 0.0))
         assert outcome is PointOutcome.ABSORBED
         assert not self.state.has_direction
 
     def test_first_active_point_sets_direction(self):
-        self.state.observe(Point(0.5, 0.0))
-        outcome = self.state.observe(Point(2.0, 0.0))  # |R| = 2 > eps/4 -> zone 1
+        self.state.observe(*Point(0.5, 0.0))
+        outcome = self.state.observe(*Point(2.0, 0.0))  # |R| = 2 > eps/4 -> zone 1
         assert outcome is PointOutcome.ACTIVE
         assert self.state.has_direction
         assert self.state.length == pytest.approx(1 * self.eps / 2)
         assert self.state.theta == pytest.approx(0.0)
 
     def test_inactive_point_after_direction_keeps_segment(self):
-        self.state.observe(Point(2.0, 0.0))
-        outcome = self.state.observe(Point(2.2, 0.1))
+        self.state.observe(*Point(2.0, 0.0))
+        outcome = self.state.observe(*Point(2.2, 0.1))
         assert outcome is PointOutcome.ABSORBED
         assert self.state.length == pytest.approx(2.0)
 
     def test_active_point_advances_zone_and_rotates(self):
-        self.state.observe(Point(2.0, 0.0))
-        outcome = self.state.observe(Point(4.0, 0.5))
+        self.state.observe(*Point(2.0, 0.0))
+        outcome = self.state.observe(*Point(4.0, 0.5))
         assert outcome is PointOutcome.ACTIVE
         assert self.state.length == pytest.approx(2 * self.eps / 2)
         assert 0.0 < self.state.theta < math.pi / 4
 
     def test_far_off_line_point_is_violation(self):
-        self.state.observe(Point(2.0, 0.0))
-        self.state.observe(Point(4.0, 0.0))
-        outcome = self.state.observe(Point(6.0, 5.0))  # deviation 5 > eps/2
+        self.state.observe(*Point(2.0, 0.0))
+        self.state.observe(*Point(4.0, 0.0))
+        outcome = self.state.observe(*Point(6.0, 5.0))  # deviation 5 > eps/2
         assert outcome is PointOutcome.VIOLATION
 
     def test_inactive_point_far_from_line_is_violation(self):
-        self.state.observe(Point(10.0, 0.0))
-        outcome = self.state.observe(Point(5.0, 4.0))  # inactive but 4 > eps/2
+        self.state.observe(*Point(10.0, 0.0))
+        outcome = self.state.observe(*Point(5.0, 4.0))  # inactive but 4 > eps/2
         assert outcome is PointOutcome.VIOLATION
 
     def test_constant_work_per_point(self):
         for i in range(100):
-            self.state.observe(Point(float(i), 0.0))
+            self.state.observe(*Point(float(i), 0.0))
         # At most three distance computations per observed point.
         assert self.state.stats.distance_computations <= 3 * self.state.stats.points_observed
 
@@ -132,7 +133,7 @@ class TestFittingAngleDrift:
             radius = i * eps / 2
             theta += math.asin(min(1.0, (eps / 2) / radius)) * 0.9
             point = Point(radius * math.cos(theta), radius * math.sin(theta))
-            outcome = state.observe(point)
+            outcome = state.observe(*point)
             if outcome is PointOutcome.VIOLATION:
                 break
             if state.has_direction and initial_theta is None:
@@ -144,8 +145,8 @@ class TestFittingAngleDrift:
 
 
 # ---------------------------------------------------------------------- #
-# Differential oracle: the flattened FittingState against the frozen
-# helper-per-step reference, fix by fix.
+# Differential oracle: the flattened float FittingState against the frozen
+# helper-per-step reference, fix by fix (outcomes and snapshots).
 # ---------------------------------------------------------------------- #
 _FLAG_NAMES = (
     "opt_first_active_threshold",
@@ -159,22 +160,14 @@ _ALL_FLAG_COMBINATIONS = [
 ]
 
 
-def _bits(value):
-    """Exact, sign-of-zero-aware comparison key of a slot value."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, Point):
-        return (value.x.hex(), value.y.hex(), value.t.hex())
-    return value
+def _state_key(state) -> str:
+    """The exact JSON of a fitting state's snapshot.
 
-
-def _state_key(state) -> tuple:
-    """Every slot of the reference state (config excluded), compared bit for bit."""
-    return tuple(
-        (name, vars(state.stats) if name == "stats" else _bits(getattr(state, name)))
-        for name in ReferenceFittingState.__slots__
-        if name != "config"
-    )
+    ``repr`` round-trips floats, so the string tells apart every bit of
+    every value (the sign of zero included, NaN spelled ``NaN``) while
+    leaving the production state free to hold its fields in any form.
+    """
+    return json.dumps(state.snapshot(), sort_keys=True)
 
 
 @st.composite
@@ -258,7 +251,7 @@ class TestFittingStateMatchesReference:
         state = FittingState(anchor, config)
         reference = ReferenceFittingState(anchor, config)
         for point in points:
-            outcome = state.observe(point)
+            outcome = state.observe(*point)
             expected = reference.observe(point)
             assert outcome is expected
             assert _state_key(state) == _state_key(reference)
@@ -268,7 +261,7 @@ class TestFittingStateMatchesReference:
                 restart = reference.last_active_point or reference.anchor
                 state = FittingState(restart, config)
                 reference = ReferenceFittingState(restart, config)
-                assert state.observe(point) is reference.observe(point)
+                assert state.observe(*point) is reference.observe(point)
                 assert _state_key(state) == _state_key(reference)
 
 
@@ -309,11 +302,11 @@ class TestFittingPrefixKernelMatchesObserve:
                 probe = FittingState.from_snapshot(state.snapshot(), config)
                 expected = (0, state.d_plus_max.hex(), state.d_minus_max.hex())
                 for n, later in enumerate(points[start:], start=1):
-                    if probe.observe(later) is not PointOutcome.ABSORBED:
+                    if probe.observe(*later) is not PointOutcome.ABSORBED:
                         break
                     expected = (n, probe.d_plus_max.hex(), probe.d_minus_max.hex())
                 assert (count, d_plus.hex(), d_minus.hex()) == expected
-            if state.observe(point) is PointOutcome.VIOLATION:
+            if state.observe(*point) is PointOutcome.VIOLATION:
                 return
 
 

@@ -30,7 +30,7 @@ from repro.metrics import (
 from repro.metrics.patching import PatchingSummary, aggregate_patching
 from repro.trajectory.piecewise import PiecewiseRepresentation
 
-from conftest import build_trajectory
+from _builders import build_trajectory
 
 
 @pytest.fixture

@@ -427,16 +427,18 @@ class TestHubBlockFailureAccounting:
 
         Unlike the per-point ``ExplodingOnThird``, this one has a native
         ``push_block_steps`` whose silent steps coalesce — the failure lands
-        on a scalar boundary push with a bulk-absorbed prefix still pending,
+        on a scalar boundary step with a bulk-absorbed prefix still pending,
         exercising the deliver-prefix-then-raise path of the step driver.
+        The failure sits in the float step, which ``push`` and the block
+        driver's replays both reach.
         """
         from repro.core.config import OperbConfig
 
         class FirmwareBugOperb(OPERBSimplifier):
-            def push(self, point):
-                if point.x == 999.0:
+            def _step(self, x, y, t):
+                if x == 999.0:
                     raise RuntimeError("device firmware bug")
-                return super().push(point)
+                return super()._step(x, y, t)
 
         register_algorithm(
             "firmware-bug-operb",

@@ -9,7 +9,9 @@ strict-JSON round trip, so what holds here holds for checkpoints on disk.
 
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro import Point, SimplificationError, Trajectory
 from repro.api import Simplifier, algorithm_names, get_descriptor, list_descriptors
+from repro.trajectory.soa import PointBlock
 
 # Streaming-capable means open_stream() works at all: native streaming
 # algorithms plus batch-only ones behind the buffered adapter.
@@ -199,3 +202,58 @@ class TestSnapshotProtocol:
         for name in algorithm_names():
             descriptor = get_descriptor(name)
             assert descriptor.snapshot_capable or not descriptor.streaming
+
+
+# ---------------------------------------------------------------------- #
+# Checkpoints written by an older engine
+# ---------------------------------------------------------------------- #
+_PARENT_CHECKPOINTS = sorted((Path(__file__).parent / "data").glob("checkpoint_*.json"))
+"""Session snapshots written by commit 63d627b, whose OPERB engine still held
+fixes as ``Point`` objects (see ``data/make_parent_checkpoints.py``): OPERB
+mid-segment with a last active fix, OPERB mid-absorption, and OPERB-A
+holding an anomalous pending pair."""
+
+
+def _segments_digest(segments) -> str:
+    payload = json.dumps([segment.to_dict() for segment in segments], sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+class TestParentWrittenCheckpoints:
+    @pytest.fixture(params=_PARENT_CHECKPOINTS, ids=lambda path: path.stem)
+    def fixture(self, request):
+        return json.loads(request.param.read_text())
+
+    def test_fixtures_are_present(self):
+        assert len(_PARENT_CHECKPOINTS) == 3
+
+    @pytest.mark.parametrize("ingest", ["push", "push_block"])
+    def test_restored_stream_continues_to_the_pinned_segments(self, fixture, ingest):
+        session = Simplifier(fixture["algorithm"], fixture["epsilon"]).restore_stream(
+            fixture["session"]
+        )
+        rest = [Point(x, y, t) for x, y, t in fixture["fixes"][fixture["cut"] :]]
+        if ingest == "push":
+            session.feed(rest)
+        else:
+            session.push_block(PointBlock.from_points(rest))
+        assert _segments_digest(session.result().segments) == fixture["segments_sha256"]
+
+    def test_restore_then_snapshot_is_byte_identical(self, fixture):
+        session = Simplifier(fixture["algorithm"], fixture["epsilon"]).restore_stream(
+            fixture["session"]
+        )
+        assert json.dumps(session.snapshot(), sort_keys=True) == json.dumps(
+            fixture["session"], sort_keys=True
+        )
+
+    def test_same_stream_writes_the_same_snapshot_and_segments(self, fixture):
+        simplifier = Simplifier(fixture["algorithm"], fixture["epsilon"])
+        session = simplifier.open_stream()
+        session.feed(Point(x, y, t) for x, y, t in fixture["fixes"][: fixture["cut"]])
+        assert json.dumps(session.snapshot(), sort_keys=True) == json.dumps(
+            fixture["session"], sort_keys=True
+        )
+        xs, ys, ts = zip(*fixture["fixes"])
+        batch = simplifier.run(Trajectory(np.array(xs), np.array(ys), np.array(ts)))
+        assert _segments_digest(batch.segments) == fixture["segments_sha256"]

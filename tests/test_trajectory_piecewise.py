@@ -7,7 +7,7 @@ import pytest
 from repro import InvalidTrajectoryError, Point
 from repro.trajectory.piecewise import PiecewiseRepresentation, SegmentRecord
 
-from conftest import build_trajectory
+from _builders import build_trajectory
 
 
 @pytest.fixture
