@@ -3,7 +3,7 @@
 Asserts that the columnar ``point-batch`` frame beats pickling the raw
 ``(shard, device, Point)`` record list by at least 3x on a 10k-point
 shipped batch, for a full encode+decode round trip.  The columnar frame is
-what the process and node backends put on the wire for every hub batch, so
+what the node backend puts on the wire for every hub batch, so
 a silent regression here (an accidental per-point Python loop, a dtype
 copy gone quadratic) taxes the hottest path in the distributed hub.
 

@@ -1,11 +1,11 @@
-"""One workload, four execution backends — same bytes, different wall time.
+"""One workload, three execution backends — same bytes, different wall time.
 
 The execution runtime (:mod:`repro.exec`) makes parallelism a *deployment*
 decision instead of a code path: the fleet executor and the streaming hub
-run unchanged on the ``serial``, ``thread``, ``process`` and ``node``
-backends, and every backend is contractually byte-identical.  This example
-sweeps both surfaces across all four backends, verifies the equivalence,
-and prints the throughput of each combination.
+run unchanged on the ``serial``, ``thread`` and ``node`` backends, and
+every backend is contractually byte-identical.  This example sweeps both
+surfaces across all three backends, verifies the equivalence, and prints
+the throughput of each combination.
 
 Run with::
 
@@ -23,7 +23,7 @@ from repro.perf.workloads import build_device_log
 from repro.streaming import CollectingSink, StreamHub
 
 EPSILON = 40.0
-BACKENDS = ("serial", "thread", "process", "node")
+BACKENDS = ("serial", "thread", "node")
 WORKERS = 4
 
 

@@ -12,6 +12,8 @@ RPA002    capability-consistency descriptor flags match the factory's methods
 RPA003    determinism            no ambient input on the byte-identical paths
 RPA004    actor-ownership        handler cores mutate only state they own
 RPA005    process-safety         exceptions revivable across process boundaries
+RPA006    wire-codec             wire codecs pickle-free, encode/decode paired
+RPA007    process-creation       worker processes created only in exec/node.py
 ========  =====================  ==================================================
 
 See :mod:`repro.analysis.registry` for adding a rule and

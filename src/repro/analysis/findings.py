@@ -22,7 +22,7 @@ class Finding:
     Attributes
     ----------
     rule_id:
-        The rule that produced the finding (``RPA001`` ... ``RPA005``).
+        The rule that produced the finding (``RPA001`` ... ``RPA007``).
     path:
         File path as given to the runner (POSIX separators, typically
         relative to the repository root — the baseline matches on it).

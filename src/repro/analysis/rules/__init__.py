@@ -6,6 +6,7 @@ from .capabilities import CapabilityConsistencyRule
 from .checkpoint import CheckpointDriftRule
 from .determinism import DeterminismRule
 from .ownership import ActorOwnershipRule
+from .process_creation import ProcessCreationRule
 from .process_safety import ProcessSafetyRule
 from .wire import WireCodecRule
 
@@ -15,5 +16,6 @@ __all__ = [
     "DeterminismRule",
     "ActorOwnershipRule",
     "ProcessSafetyRule",
+    "ProcessCreationRule",
     "WireCodecRule",
 ]

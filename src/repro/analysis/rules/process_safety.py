@@ -1,6 +1,6 @@
 """RPA005 — process-boundary exception safety.
 
-Exceptions crossing the process backend are reduced to ``(type name,
+Exceptions crossing the node backend are reduced to ``(type name,
 message)`` pairs and revived on the parent side by calling the class with
 the message (see ``repro.exec.actors._revive_exception``).  A class whose
 constructor demands extra positional arguments, or whose instances carry
@@ -77,7 +77,7 @@ class ProcessSafetyRule(Rule):
     rule_id = "RPA005"
     name = "process-boundary-safety"
     description = (
-        "exception classes must be revivable across the process backend: "
+        "exception classes must be revivable across the node backend: "
         "constructor callable as cls(message), no lambda attributes"
     )
 

@@ -1,7 +1,7 @@
 """RPA006 — wire codecs stay pickle-free and explicitly paired.
 
 The streaming wire protocol (``repro/streaming/wire.py``) is the unit the
-process and node backends ship between OS processes.  Its frames carry the
+node backend ships between OS processes.  Its frames carry the
 byte-identical contract across machine boundaries, which imposes two rules
 no fixture can lock on its own:
 

@@ -6,8 +6,8 @@ module is the single choke point every fleet workload goes through
 the experiment harness and the CLI).  It offers:
 
 - pluggable execution through :mod:`repro.exec`: a serial fast path, a
-  thread pool, or a process pool (``backend="serial" | "thread" |
-  "process" | "auto"``, ``auto`` picking serial for one worker and process
+  thread pool, or worker processes (``backend="serial" | "thread" |
+  "node" | "auto"``, ``auto`` picking serial for one worker and node
   otherwise).  Algorithms are resolved by name inside each worker, so only
   trajectories and plain options cross process boundaries;
 - per-trajectory error isolation: one malformed trajectory yields a
@@ -163,7 +163,6 @@ def run_many(
     workers: int = 1,
     backend: str | ExecutionBackend = "auto",
     on_error: str = "raise",
-    chunksize: int | None = None,
     sink_factory: Callable[[str], SegmentSink] | None = None,
 ) -> FleetResult:
     """Compress a fleet of trajectories through one algorithm.
@@ -173,18 +172,15 @@ def run_many(
     workers:
         Worker count for the concurrent backends.  With the default
         ``backend="auto"``, ``1`` runs serially in-process and ``>1`` fans
-        out over a process pool — the historical behaviour.
+        out over the node backend's process pool.
     backend:
-        Execution backend: ``"serial"``, ``"thread"``, ``"process"``,
+        Execution backend: ``"serial"``, ``"thread"``, ``"node"``,
         ``"auto"``, or a :class:`repro.exec.ExecutionBackend` instance.
         Fleets with fewer than two trajectories always collapse to serial.
     on_error:
         ``"raise"`` (default) raises :class:`FleetExecutionError` after the
         whole fleet has been attempted; ``"collect"`` records failures in
         :attr:`FleetResult.errors` and keeps going.
-    chunksize:
-        Tasks handed to each process worker at a time; defaults to a value
-        that gives each worker a handful of batches.
     sink_factory:
         Optional ``trajectory_id -> sink`` callable (the same
         :class:`~repro.streaming.sinks.SegmentSink` seam the hub uses, e.g.
@@ -204,7 +200,9 @@ def run_many(
     happens at import time of some module the workers also import; on Linux
     (``fork``) runtime registrations carry over.  Unregistered ad-hoc
     descriptors are shipped whole (their callables must be picklable for
-    the process backend).
+    the node backend).  A task that kills its worker process (a crash,
+    ``os._exit``, an OOM kill) is not isolated: the run raises
+    :class:`~repro.exceptions.ExecutionError`.
     """
     descriptor = get_descriptor(algorithm)
     # Materialised once: the error path maps outcome indices back to their
@@ -232,7 +230,7 @@ def run_many(
     if len(tasks) < 2 and executor.name != "serial":
         executor = SerialBackend()
     started = time.perf_counter()
-    outcomes = executor.map_isolated(_compress_task, tasks, chunksize=chunksize)
+    outcomes = executor.map_isolated(_compress_task, tasks)
     elapsed = time.perf_counter() - started
 
     representations: list[PiecewiseRepresentation | None] = [None] * len(tasks)

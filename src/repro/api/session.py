@@ -395,14 +395,13 @@ class Simplifier:
         workers: int = 1,
         backend: str = "auto",
         on_error: str = "raise",
-        chunksize: int | None = None,
         sink_factory=None,
     ):
         """Compress a fleet of trajectories, optionally in parallel.
 
         ``backend`` selects the :mod:`repro.exec` execution backend
-        (``"serial"``, ``"thread"``, ``"process"``, or ``"auto"`` — serial
-        for one worker, a process pool otherwise).  ``sink_factory`` routes
+        (``"serial"``, ``"thread"``, ``"node"``, or ``"auto"`` — serial
+        for one worker, node otherwise).  ``sink_factory`` routes
         each successful trajectory's segments through a
         :class:`~repro.streaming.sinks.SegmentSink` (e.g.
         ``Store.sink_factory(...)`` to persist the fleet into a segment
@@ -422,7 +421,6 @@ class Simplifier:
             workers=workers,
             backend=backend,
             on_error=on_error,
-            chunksize=chunksize,
             sink_factory=sink_factory,
         )
 

@@ -144,14 +144,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--backend",
         default="serial",
-        choices=["serial", "thread", "process", "node"],
+        choices=["serial", "thread", "node"],
         help="execution backend driving the hub shards (default serial)",
     )
     serve.add_argument(
         "--workers",
         type=int,
         default=None,
-        help="worker count for the thread/process/node backends (default: CPU "
+        help="worker count for the thread/node backends (default: CPU "
         "count, clamped to the shard count)",
     )
     serve.add_argument(

@@ -14,15 +14,15 @@ Two execution shapes are offered:
   :mod:`repro.exec.actors`) for long-lived stateful workers such as the
   hub's shards.
 
-All four backends (``serial``, ``thread``, ``process``, ``node``) are
-contractually equivalent: for deterministic work they produce byte-identical
-results, a property the test suite locks in across both consumers.
+All three backends (``serial``, ``thread``, ``node``) are contractually
+equivalent: for deterministic work they produce byte-identical results, a
+property the test suite locks in across both consumers.
 
 ``NodeBackend`` / ``NodeActorGroup`` (:mod:`repro.exec.node`) are exported
-lazily.  ``NodeActorGroup`` is the one cross-process actor transport: the
-``process`` backend starts its actors on it too.  The node module depends
-on the streaming wire codec, and importing it eagerly here would cycle
-through ``repro.streaming`` → ``repro.exec`` during package init.
+lazily.  ``node`` is the one backend that crosses a process boundary, for
+task maps and actors alike.  The node module depends on the streaming wire
+codec, and importing it eagerly here would cycle through
+``repro.streaming`` → ``repro.exec`` during package init.
 """
 
 from .actors import (
@@ -34,7 +34,6 @@ from .actors import (
 from .backends import (
     BACKEND_NAMES,
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
     TaskFailure,
     TaskOutcome,
@@ -49,7 +48,6 @@ __all__ = [
     "ExecutionBackend",
     "NodeActorGroup",
     "NodeBackend",
-    "ProcessBackend",
     "SerialActorGroup",
     "SerialBackend",
     "TaskFailure",

@@ -15,7 +15,7 @@ here:
     caller's memory (``local_handlers``), but only their own thread touches
     them between barriers — single-owner state, no locks in handler code.
 
-Actors in other processes (the ``process`` and ``node`` backends) run on
+Actors in other processes (the ``node`` backend) run on
 :class:`~repro.exec.node.NodeActorGroup`, one socket-connected worker
 process per actor.  Messages, replies and events must be picklable there;
 exceptions are reduced to ``(type name, message)`` and revived by name on

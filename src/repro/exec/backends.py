@@ -2,9 +2,9 @@
 
 Before this module existed the repository had two hand-rolled concurrency
 layers: the fleet executor (:func:`repro.api.executor.run_many`) managed its
-own ``ProcessPoolExecutor``, and the streaming hub partitioned devices across
-purely in-process shards.  Both now delegate to an
-:class:`ExecutionBackend`, which offers exactly two execution shapes:
+own process pool, and the streaming hub partitioned devices across purely
+in-process shards.  Both now delegate to an :class:`ExecutionBackend`,
+which offers exactly two execution shapes:
 
 - :meth:`ExecutionBackend.map_isolated` — run a picklable function over a
   sequence of tasks with **per-task error isolation**: every task yields a
@@ -16,7 +16,7 @@ purely in-process shards.  Both now delegate to an
   protocol and event routing back to the caller.  This is the streaming
   hub's shape: each actor owns a slice of the hub's shards.
 
-Four backends implement both shapes:
+Three backends implement both shapes:
 
 ``SerialBackend``
     Everything inline in the calling thread — zero overhead, the reference
@@ -25,26 +25,15 @@ Four backends implement both shapes:
     A thread per worker.  Python bytecode still serialises on the GIL, but
     the vectorized geometry kernels (and any I/O in sinks) release it, so
     shards overlap where it counts.
-``ProcessBackend``
-    A process per worker.  Isolated task maps run on a
-    ``ProcessPoolExecutor``; actors run on the node backend's socket group
-    (:class:`~repro.exec.node.NodeActorGroup`) with its default heartbeat
-    settings.  Functions, tasks, results and actor messages must be
-    picklable; exceptions crossing the boundary are reduced to
-    ``(type name, message)`` pairs.  On platforms whose multiprocessing
-    start method is ``spawn`` (macOS, Windows), algorithms registered at
-    runtime in the parent are only visible to workers when registration
-    happens at import time; on Linux (``fork``) runtime registrations carry
-    over.
 ``NodeBackend`` (:mod:`repro.exec.node`)
-    A worker process per slot reached over a length-prefixed socket RPC
-    with handshake, heartbeats and columnar wire frames — the distributed
-    shard-fabric shape — for task maps as well as actors.  Its heartbeat
-    and connect timeouts are configurable.
+    A worker process per slot: the one backend that crosses a process
+    boundary.  Isolated task maps run on a process pool; actors run on a
+    socket-connected worker group with handshake, heartbeats and columnar
+    wire frames.
 
 :func:`resolve_backend` is the single factory every layer goes through, so
-``"serial" | "thread" | "process" | "node" | "auto"`` mean the same thing
-in ``run_many``, ``StreamHub`` and the CLI.
+``"serial" | "thread" | "node" | "auto"`` mean the same thing in
+``run_many``, ``StreamHub`` and the CLI.
 """
 
 from __future__ import annotations
@@ -52,8 +41,8 @@ from __future__ import annotations
 import os
 import traceback as _traceback
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -65,13 +54,12 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "TaskFailure",
     "TaskOutcome",
     "resolve_backend",
 ]
 
-BACKEND_NAMES = ("serial", "thread", "process", "node", "auto")
+BACKEND_NAMES = ("serial", "thread", "node", "auto")
 """Accepted backend specifiers (``auto`` resolves by worker count)."""
 
 
@@ -123,20 +111,8 @@ def _isolated_call(fn: Callable, index: int, task: object) -> TaskOutcome:
         )
 
 
-def _isolated_call_remote(fn: Callable, pair: tuple[int, object]) -> TaskOutcome:
-    """Pool wrapper: strip the exception object before it crosses the
-    process boundary (arbitrary exceptions do not reliably pickle).  The
-    formatted ``traceback`` string stays — it is the only record of the
-    original failure site the parent ever sees."""
-    index, task = pair
-    outcome = _isolated_call(fn, index, task)
-    if outcome.failure is not None and outcome.failure.exception is not None:
-        outcome = replace(outcome, failure=replace(outcome.failure, exception=None))
-    return outcome
-
-
 class ExecutionBackend(ABC):
-    """One way of executing work: serially, on threads, or on processes.
+    """One way of executing work: serially, on threads, or on worker processes.
 
     Backends are cheap, stateless handles — pools and workers are created
     per call (``map_isolated``) or per group (``start_actors``), never held
@@ -156,15 +132,13 @@ class ExecutionBackend(ABC):
         return max(1, min(self.workers, n_tasks))
 
     @abstractmethod
-    def map_isolated(
-        self, fn: Callable, tasks: Sequence, *, chunksize: int | None = None
-    ) -> list[TaskOutcome]:
+    def map_isolated(self, fn: Callable, tasks: Sequence) -> list[TaskOutcome]:
         """Run ``fn`` over ``tasks`` with per-task error isolation.
 
         Returns one :class:`TaskOutcome` per task, in input order.  The
         call itself never raises for a task failure; inspect
-        ``outcome.failure``.  ``chunksize`` sizes the batches handed to each
-        worker (process backend only; default gives each worker a handful).
+        ``outcome.failure``.  A task that kills its worker process is not a
+        task failure: the call raises :class:`~repro.exceptions.ExecutionError`.
         """
 
     @abstractmethod
@@ -200,9 +174,7 @@ class SerialBackend(ExecutionBackend):
     def effective_workers(self, n_tasks: int) -> int:
         return 1
 
-    def map_isolated(
-        self, fn: Callable, tasks: Sequence, *, chunksize: int | None = None
-    ) -> list[TaskOutcome]:
+    def map_isolated(self, fn: Callable, tasks: Sequence) -> list[TaskOutcome]:
         return [_isolated_call(fn, index, task) for index, task in enumerate(tasks)]
 
     def start_actors(
@@ -219,9 +191,7 @@ class ThreadBackend(ExecutionBackend):
 
     name = "thread"
 
-    def map_isolated(
-        self, fn: Callable, tasks: Sequence, *, chunksize: int | None = None
-    ) -> list[TaskOutcome]:
+    def map_isolated(self, fn: Callable, tasks: Sequence) -> list[TaskOutcome]:
         if not tasks:
             return []
         with ThreadPoolExecutor(max_workers=self.effective_workers(len(tasks))) as pool:
@@ -242,44 +212,6 @@ def _isolated_call_local(fn: Callable, pair: tuple[int, object]) -> TaskOutcome:
     return _isolated_call(fn, index, task)
 
 
-class ProcessBackend(ExecutionBackend):
-    """A worker process per slot; tasks and results cross pickle boundaries.
-
-    Actors run on the node backend's socket group, the one cross-process
-    actor transport.
-    """
-
-    name = "process"
-
-    def map_isolated(
-        self, fn: Callable, tasks: Sequence, *, chunksize: int | None = None
-    ) -> list[TaskOutcome]:
-        if not tasks:
-            return []
-        pool_size = self.effective_workers(len(tasks))
-        if chunksize is None:
-            chunksize = max(1, len(tasks) // (pool_size * 4))
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            return list(
-                pool.map(
-                    partial(_isolated_call_remote, fn),
-                    enumerate(tasks),
-                    chunksize=chunksize,
-                )
-            )
-
-    def start_actors(
-        self,
-        factories: Sequence[Callable],
-        *,
-        on_event: Callable[[int, object], None] | None = None,
-    ) -> ActorGroup:
-        # Imported lazily for the same reason as in resolve_backend.
-        from .node import NodeActorGroup
-
-        return NodeActorGroup(factories, on_event=on_event)
-
-
 def resolve_backend(
     spec: str | ExecutionBackend = "auto", *, workers: int | None = None
 ) -> ExecutionBackend:
@@ -288,10 +220,10 @@ def resolve_backend(
     Parameters
     ----------
     spec:
-        ``"serial"``, ``"thread"``, ``"process"``, ``"node"``, ``"auto"``,
-        or an already-constructed backend (returned unchanged, ``workers``
+        ``"serial"``, ``"thread"``, ``"node"``, ``"auto"``, or an
+        already-constructed backend (returned unchanged, ``workers``
         ignored).  ``"auto"`` picks serial for ``workers in (None, 1)`` and
-        process otherwise — the historical ``run_many`` behaviour.
+        node otherwise.
     workers:
         Worker count for the concurrent backends; defaults to the CPU
         count.  The serial backend always runs exactly one worker and
@@ -313,17 +245,15 @@ def resolve_backend(
     if workers is not None and workers < 1:
         raise InvalidParameterError(f"workers must be at least 1, got {workers}")
     if name == "auto":
-        name = "serial" if workers is None or workers == 1 else "process"
+        name = "serial" if workers is None or workers == 1 else "node"
     if name == "serial":
         return SerialBackend()
     default_workers = workers if workers is not None else (os.cpu_count() or 2)
     if name == "thread":
         return ThreadBackend(default_workers)
-    if name == "node":
-        # Imported lazily: the node backend pulls in the streaming wire
-        # codec, and importing it eagerly here would cycle through
-        # ``repro.streaming`` → ``repro.exec`` during package init.
-        from .node import NodeBackend
+    # Imported lazily: the node backend pulls in the streaming wire codec,
+    # and importing it eagerly here would cycle through ``repro.streaming``
+    # → ``repro.exec`` during package init.
+    from .node import NodeBackend
 
-        return NodeBackend(default_workers)
-    return ProcessBackend(default_workers)
+    return NodeBackend(default_workers)

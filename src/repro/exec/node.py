@@ -1,8 +1,12 @@
-"""Distributed ``node`` backend: actor workers reached over sockets.
+"""The ``node`` backend: the package's one cross-process backend.
 
-:class:`NodeActorGroup` is the package's one cross-process actor
-transport; both the ``node`` and the ``process`` backends start their
-actors on it.  It speaks the tell/ask/barrier mailbox protocol of
+:class:`NodeBackend` runs both execution shapes in worker processes:
+isolated task maps on a ``ProcessPoolExecutor`` (the fleet executor's
+shape), and actors on :class:`NodeActorGroup` (the streaming hub's shape).
+This module is the only place in the package that creates processes;
+analysis rule RPA007 enforces that.
+
+:class:`NodeActorGroup` speaks the tell/ask/barrier mailbox protocol of
 :mod:`repro.exec.actors` over a length-prefixed socket RPC, the shape a
 genuinely distributed shard fabric needs: workers *connect* to the parent
 and complete a token handshake, liveness is observed through heartbeats
@@ -48,6 +52,9 @@ import socket
 import struct
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -55,7 +62,7 @@ from ..exceptions import ExecutionError, InvalidParameterError, WireFormatError
 from ..streaming.wire import decode_frame, encode_frame
 from ..trajectory.piecewise import SegmentRecord
 from .actors import ActorCrash, ActorGroup, _PendingSlot, _revive_exception
-from .backends import ExecutionBackend, TaskOutcome, _isolated_call_remote
+from .backends import ExecutionBackend, TaskOutcome, _isolated_call
 
 __all__ = [
     "NodeActorGroup",
@@ -343,8 +350,7 @@ class NodeActorGroup(ActorGroup):
     Implements the mailbox contract of :mod:`repro.exec.actors` (FIFO per
     actor, events delivered before the triggering round trip returns,
     crashes surfaced at the next barrier) with socket transport, a token
-    handshake, and heartbeat-based dead-worker detection.  Serves both the
-    ``node`` and the ``process`` backends.
+    handshake, and heartbeat-based dead-worker detection.
     """
 
     def __init__(
@@ -703,30 +709,32 @@ class NodeActorGroup(ActorGroup):
 # ---------------------------------------------------------------------- #
 # Backend
 # ---------------------------------------------------------------------- #
-class _NodeTaskRunner:
-    """Stateless actor handler that runs one isolated task per ``ask``."""
-
-    def __init__(self, fn: Callable) -> None:
-        self._fn = fn
-
-    def handle(self, message: object) -> TaskOutcome:
-        if not (isinstance(message, tuple) and len(message) == 3 and message[0] == "run"):
-            raise ExecutionError(f"unexpected task-runner message: {message!r}")
-        _, index, task = message
-        return _isolated_call_remote(self._fn, (index, task))
-
-
-def _task_runner_factory(fn: Callable, emit: Callable[[object], None]) -> _NodeTaskRunner:
-    return _NodeTaskRunner(fn)
+def _isolated_call_remote(fn: Callable, pair: tuple[int, object]) -> TaskOutcome:
+    """Pool wrapper: strip the exception object before it crosses the
+    process boundary (arbitrary exceptions do not reliably pickle).  The
+    formatted ``traceback`` string stays — it is the only record of the
+    original failure site the parent ever sees."""
+    index, task = pair
+    outcome = _isolated_call(fn, index, task)
+    if outcome.failure is not None and outcome.failure.exception is not None:
+        outcome = replace(outcome, failure=replace(outcome.failure, exception=None))
+    return outcome
 
 
 class NodeBackend(ExecutionBackend):
-    """A socket-connected worker process per slot (see :class:`NodeActorGroup`).
+    """A worker process per slot: the package's one cross-process backend.
 
-    Functions, tasks, generic messages and results must be picklable, like
-    the process backend; the hub's point batches bypass pickle entirely via
-    the columnar wire frames.  ``heartbeat_timeout`` bounds how long a
-    silent worker is trusted before the group fails it over.
+    Isolated task maps run on a ``ProcessPoolExecutor``; actors run on a
+    :class:`NodeActorGroup`.  Functions, tasks, generic messages and
+    results must be picklable; the hub's point batches bypass pickle
+    entirely via the columnar wire frames, and exceptions crossing the
+    boundary are reduced to ``(type name, message)`` pairs.
+    ``heartbeat_timeout`` bounds how long a silent actor worker is trusted
+    before the group fails it over.  On platforms whose multiprocessing
+    start method is ``spawn`` (macOS, Windows), algorithms registered at
+    runtime in the parent are only visible to workers when registration
+    happens at import time; on Linux (``fork``) runtime registrations
+    carry over.
     """
 
     name = "node"
@@ -757,52 +765,24 @@ class NodeBackend(ExecutionBackend):
         self.heartbeat_timeout = heartbeat_timeout
         self.connect_timeout = connect_timeout
 
-    def map_isolated(
-        self, fn: Callable, tasks: Sequence, *, chunksize: int | None = None
-    ) -> list[TaskOutcome]:
+    def map_isolated(self, fn: Callable, tasks: Sequence) -> list[TaskOutcome]:
         if not tasks:
             return []
-        n_workers = self.effective_workers(len(tasks))
-        group = self.start_actors([partial(_task_runner_factory, fn)] * n_workers)
-        results: list[TaskOutcome | None] = [None] * len(tasks)
-        failures: list[BaseException] = []
-
-        def drive(worker: int) -> None:
-            try:
-                for index in range(worker, len(tasks), n_workers):
-                    outcome = group.ask(worker, ("run", index, tasks[index]))
-                    if not isinstance(outcome, TaskOutcome):
-                        raise ExecutionError(
-                            f"task runner returned {type(outcome).__name__}, "
-                            "expected TaskOutcome"
-                        )
-                    results[index] = outcome
-            except BaseException as error:  # noqa: BLE001 — re-raised below
-                failures.append(error)
-
+        pool_size = self.effective_workers(len(tasks))
+        # A handful of batches per worker: few enough round trips to keep
+        # pickling overhead low, enough to balance uneven task costs.
+        chunksize = max(1, len(tasks) // (pool_size * 4))
         try:
-            drivers = [
-                threading.Thread(
-                    target=drive, args=(worker,), name=f"repro-node-map-{worker}"
+            with ProcessPoolExecutor(max_workers=pool_size) as pool:
+                return list(
+                    pool.map(
+                        partial(_isolated_call_remote, fn),
+                        enumerate(tasks),
+                        chunksize=chunksize,
+                    )
                 )
-                for worker in range(n_workers)
-            ]
-            for driver in drivers:
-                driver.start()
-            for driver in drivers:
-                driver.join()
-        finally:
-            try:
-                group.close()
-            except ExecutionError:
-                if not failures:
-                    raise
-        if failures:
-            raise failures[0]
-        missing = [index for index, outcome in enumerate(results) if outcome is None]
-        if missing:  # pragma: no cover — drivers either fill or fail
-            raise ExecutionError(f"tasks {missing} produced no outcome")
-        return [outcome for outcome in results if outcome is not None]
+        except BrokenProcessPool as error:
+            raise ExecutionError(f"a node task worker died: {error}") from error
 
     def start_actors(
         self,

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..exceptions import InvalidParameterError, StoreError
-from ..trajectory.piecewise import SegmentRecord
 from .layout import (
     DEVICES_DIR,
     PartitionKey,
@@ -109,34 +108,6 @@ class CompactionReport:
             "chunks_merged": self.chunks_merged,
             "compacted": [item.as_dict() for item in self.compacted],
         }
-
-
-def _zonemap_of_rows(rows: list[tuple[SegmentRecord, float]]) -> ZoneMap:
-    """The exact single-chunk zone map of compacted ``(record, epsilon)``
-    rows — same covering bounds as the appends that produced them, with
-    the chunk count reset and the aggregates recomputed."""
-    if not rows:
-        raise StoreError("cannot build a zone map over an empty partition")
-    ts: list[float] = []
-    xs: list[float] = []
-    ys: list[float] = []
-    for record, _ in rows:
-        ts.extend((record.start.t, record.end.t))
-        xs.extend((record.start.x, record.end.x))
-        ys.extend((record.start.y, record.end.y))
-    return ZoneMap(
-        t_min=min(ts),
-        t_max=max(ts),
-        x_min=min(xs),
-        x_max=max(xs),
-        y_min=min(ys),
-        y_max=max(ys),
-        segments=len(rows),
-        chunks=1,
-        epsilons=tuple(sorted({epsilon for _, epsilon in rows})),
-        points=sum(record.point_count for record, _ in rows),
-        total_length=sum(record.length for record, _ in rows),
-    )
 
 
 def compact_partitions(
@@ -222,7 +193,7 @@ def compact_partitions(
                 raise StoreError(
                     f"cannot compact partition {key}: {error}"
                 ) from error
-            fresh = _zonemap_of_rows(rows)
+            fresh = ZoneMap.of_rows(rows)
             write_zonemap(zonemap_path, fresh)
             compacted.append(
                 PartitionCompaction(

@@ -51,7 +51,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 from urllib.parse import quote, unquote
 
 import numpy as np
@@ -261,14 +261,19 @@ class ZoneMap:
     total_length: float | None = None
 
     @classmethod
-    def of_batch(cls, segments: list[SegmentRecord], epsilon: float) -> "ZoneMap":
-        """Zone map covering exactly one appended batch."""
-        if not segments:
-            raise StoreError("cannot build a zone map over an empty batch")
+    def of_rows(cls, rows: Sequence[tuple[SegmentRecord, float]]) -> "ZoneMap":
+        """Exact one-chunk zone map of ``(record, epsilon)`` rows.
+
+        Serves both writers of a sidecar: an append (one batch, every row
+        under the batch's epsilon) and compaction (a whole partition
+        rewritten as one chunk, per-row epsilons preserved).
+        """
+        if not rows:
+            raise StoreError("cannot build a zone map over no segments")
         ts: list[float] = []
         xs: list[float] = []
         ys: list[float] = []
-        for record in segments:
+        for record, _ in rows:
             ts.extend((record.start.t, record.end.t))
             xs.extend((record.start.x, record.end.x))
             ys.extend((record.start.y, record.end.y))
@@ -279,11 +284,11 @@ class ZoneMap:
             x_max=max(xs),
             y_min=min(ys),
             y_max=max(ys),
-            segments=len(segments),
+            segments=len(rows),
             chunks=1,
-            epsilons=(epsilon,),
-            points=sum(record.point_count for record in segments),
-            total_length=sum(record.length for record in segments),
+            epsilons=tuple(sorted({epsilon for _, epsilon in rows})),
+            points=sum(record.point_count for record, _ in rows),
+            total_length=sum(record.length for record, _ in rows),
         )
 
     def merge(self, other: "ZoneMap") -> "ZoneMap":

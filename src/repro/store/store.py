@@ -421,7 +421,7 @@ class Store:
                 for bucket in sorted(grouped):
                     chunk = grouped[bucket]
                     key = PartitionKey(device_id, bucket)
-                    addition = ZoneMap.of_batch(chunk, epsilon)
+                    addition = ZoneMap.of_rows([(record, epsilon) for record in chunk])
                     existing = self._zonemaps.get(key)
                     merged = addition if existing is None else existing.merge(addition)
                     encoded = encode_chunk(chunk, epsilon)

@@ -12,11 +12,11 @@ memory stays O(devices), not O(points).
 
 Shards execute on a pluggable :mod:`repro.exec` backend (``backend=``):
 ``"serial"`` keeps every shard inline in the caller (the reference
-semantics), while ``"thread"``, ``"process"`` and ``"node"`` drive the
+semantics), while ``"thread"`` and ``"node"`` drive the
 shards on real worker actors — per-shard FIFO mailboxes, single-owner shard
 state (no locks in the ingest path), segments and failures streamed back to
 the hub as events.  On the backends whose batches cross a serialization
-boundary (the process and node backends' sockets) the shipped unit is a
+boundary (the node backend's sockets) the shipped unit is a
 *columnar wire frame* (:mod:`repro.streaming.wire`): per-device
 little-endian ``float64`` columns instead of pickled point tuples, decoded
 straight into the SoA blocks the vectorized ingest path consumes.  All
@@ -61,15 +61,15 @@ Capabilities:
   segments — on any backend, and optionally onto a *different* shard count
   (devices re-shard through the same CRC32 map).
 
-Concurrency caveats (``thread``/``process``/``node`` backends only): ``push`` routes
+Concurrency caveats (``thread``/``node`` backends only): ``push`` routes
 asynchronously and returns ``[]`` (segments still reach the sinks);
 ``on_error="raise"`` surfaces a device failure at the next hub call instead
 of mid-push (``push_many`` drains its own batches so its failures surface
 on return; ``checkpoint()`` alone never raises for device failures, so a
 failed hub can always be checkpointed); counters (``points_pushed``,
 ``segments_emitted``) are authoritative after a synchronising call
-(``stats()``, ``checkpoint()``, ``finish_all()``).  Under the process and
-node backends, per-device stream objects live in worker processes and are
+(``stats()``, ``checkpoint()``, ``finish_all()``).  Under the node
+backend, per-device stream objects live in worker processes and are
 not addressable — use ``stats()`` and ``checkpoint()``.
 """
 
@@ -193,10 +193,10 @@ class HubStats:
     (0 on the serial backend, which routes record by record)."""
     bytes_shipped: int = 0
     """Encoded wire-frame bytes shipped to shard workers.  Non-zero only on
-    backends that cross a serialization boundary (process, node); the
+    the backend that crosses a serialization boundary (node); the
     thread backend shares memory and ships object references."""
     frames_decoded: int = 0
-    """Wire frames decoded by the shard workers (process/node backends),
+    """Wire frames decoded by the shard workers (node backend),
     one per shipped batch, single pushes included."""
     epsilons: list[float] | None = None
     """The hub's pyramid ladder, finest first (``None`` on single-epsilon hubs)."""
@@ -375,7 +375,7 @@ class HubShard:
 
     A shard is owned by exactly one shard worker (a :mod:`repro.exec`
     actor); between barriers, only that worker touches the shard's state —
-    which is what lets the thread and process backends run shards
+    which is what lets the thread and node backends run shards
     concurrently without locks in the ingest path.
     """
 
@@ -789,7 +789,7 @@ class StreamHub:
         failure is recorded in :attr:`errors`.
     backend:
         Execution backend for the shards: ``"serial"`` (default),
-        ``"thread"``, ``"process"``, ``"node"``, ``"auto"``, or a
+        ``"thread"``, ``"node"``, ``"auto"``, or a
         :class:`repro.exec.ExecutionBackend`.  See the module docstring for
         the concurrent-backend caveats.
     workers:
@@ -884,10 +884,10 @@ class StreamHub:
         self._backend = resolve_backend(backend, workers=workers)
         self._concurrent = self._backend.name != "serial"
         self._n_actors = min(self._backend.workers, shards) if self._concurrent else 1
-        # Backends whose actors run in other processes receive batches as
-        # columnar wire frames, and their device-error events cannot carry
-        # exception objects; the in-process backends pass references.
-        self._crosses_process = self._backend.name in ("process", "node")
+        # The node backend's actors run in other processes: they receive
+        # batches as columnar wire frames, and their device-error events
+        # cannot carry exception objects.  In-process backends pass references.
+        self._crosses_process = self._backend.name == "node"
         self.errors: list[DeviceError] = []
         self.points_pushed = 0
         self.segments_emitted = 0
@@ -930,7 +930,7 @@ class StreamHub:
         """Group one buffered batch per device and hand it to its shard worker.
 
         In-process backends pass the :func:`~.wire.group_points` groups by
-        reference; process and node workers receive the same groups as one
+        reference; node workers receive the same groups as one
         columnar wire frame (:func:`~.wire.group_records`), which the socket
         transport ships raw — no pickle on the hot path.
         """
@@ -1160,7 +1160,7 @@ class StreamHub:
     def close(self) -> None:
         """Shut down the shard workers and close the sinks (idempotent).
 
-        Serial hubs have nothing to release; thread/process hubs stop their
+        Serial hubs have nothing to release; thread/node hubs stop their
         workers — pending asynchronous pushes are processed first, so every
         in-flight segment reaches its sink before the sinks are flushed and
         closed.  In ``"raise"`` mode, a device failure that has not
@@ -1239,7 +1239,7 @@ class StreamHub:
         """The live shard objects, in shard order.
 
         Serial and thread backends share the caller's memory (the thread
-        backend barriers first); under the process backend shard state is
+        backend barriers first); under the node backend shard state is
         not addressable and this raises :class:`SimplificationError`.
         """
         return self._local_shards()
@@ -1257,7 +1257,7 @@ class StreamHub:
     def devices(self) -> Iterator[DeviceStream]:
         """Iterate over every device stream (shard order, then insertion).
 
-        Not available under the process backend (see :attr:`shards`).
+        Not available under the node backend (see :attr:`shards`).
         """
         for shard in self._local_shards():
             yield from shard.devices.values()
@@ -1270,7 +1270,7 @@ class StreamHub:
         InvalidParameterError
             If the device is not registered.
         SimplificationError
-            Under the process backend (stream objects live in workers).
+            Under the node backend (stream objects live in workers).
         ExecutionError
             When the hub has been closed (any backend).
         """
@@ -1292,7 +1292,7 @@ class StreamHub:
         """Open a stream for ``device_id``, optionally overriding defaults.
 
         Returns the live :class:`DeviceStream` on in-process backends;
-        ``None`` under the process backend (the stream lives in a worker).
+        ``None`` under the node backend (the stream lives in a worker).
 
         Raises
         ------

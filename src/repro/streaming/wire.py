@@ -1,8 +1,8 @@
 """Columnar wire codec for the hub's shipped batches and control frames.
 
 The concurrent hub ships ingest work to its shard workers as batches.  On
-the in-process backends a batch is just a Python list; on the process and
-node backends it has to cross a serialization boundary, and pickling a
+the in-process backends a batch is just a Python list; on the node
+backend it has to cross a serialization boundary, and pickling a
 ``list[tuple[int, str, Point]]`` pays per-point object overhead on the
 hottest path in the system.  This module makes :class:`PointBlock` the wire
 unit instead: a *frame* carries each device's points as three little-endian
@@ -15,8 +15,8 @@ Frame model
 A frame body is ``magic (2B, b"RW") | version (1B) | kind (1B) | payload``.
 On a plain byte stream frames travel length-prefixed:
 ``u32 LE body length | body`` — see :func:`pack_frame` / :func:`read_frame`.
-Inside a packet of the socket actor transport (:mod:`repro.exec.node`,
-which serves both the process and node backends) the body travels bare,
+Inside a packet of the node backend's socket actor transport
+(:mod:`repro.exec.node`) the body travels bare,
 because the packet header already carries its length.
 
 Every frame kind is registered in :data:`FRAME_TYPES` with an explicit

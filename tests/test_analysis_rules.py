@@ -1,4 +1,4 @@
-"""Fixture-snippet tests for the invariant linter's rules (RPA001-RPA006).
+"""Fixture-snippet tests for the invariant linter's rules (RPA001-RPA007).
 
 Each test feeds a small in-memory module through :func:`analyze_source` and
 asserts the exact rule ids, line numbers and symbols reported — including
@@ -660,5 +660,90 @@ class TestWireCodecRPA006:
             """,
             path=EXEC_PATH,
             rules=["RPA006"],
+        )
+        assert findings == []
+
+
+class TestProcessCreationRPA007:
+    def test_multiprocessing_imports_are_reported(self):
+        findings = lint(
+            """\
+            import multiprocessing
+            import multiprocessing.pool
+            from multiprocessing import Process
+            """,
+            path=EXEC_PATH,
+            rules=["RPA007"],
+        )
+        assert triples(findings) == [
+            ("RPA007", 1, "import:multiprocessing"),
+            ("RPA007", 2, "import:multiprocessing.pool"),
+            ("RPA007", 3, "import:multiprocessing"),
+        ]
+
+    def test_process_pool_executor_is_reported(self):
+        findings = lint(
+            """\
+            import concurrent.futures
+            from concurrent.futures import ProcessPoolExecutor
+
+
+            def fan_out(fn, tasks):
+                with concurrent.futures.ProcessPoolExecutor(2) as pool:
+                    return list(pool.map(fn, tasks))
+            """,
+            path=API_PATH,
+            rules=["RPA007"],
+        )
+        assert triples(findings) == [
+            ("RPA007", 2, "ProcessPoolExecutor"),
+            ("RPA007", 6, "ProcessPoolExecutor"),
+        ]
+
+    def test_os_fork_is_reported(self):
+        findings = lint(
+            """\
+            import os
+            from os import forkpty
+
+
+            def spawn():
+                return os.fork()
+            """,
+            path=CORE_PATH,
+            rules=["RPA007"],
+        )
+        assert triples(findings) == [
+            ("RPA007", 2, "os.forkpty"),
+            ("RPA007", 6, "os.fork"),
+        ]
+
+    def test_the_node_backend_module_may_create_processes(self):
+        findings = lint(
+            """\
+            import multiprocessing
+            import os
+            from concurrent.futures import ProcessPoolExecutor
+
+            context = multiprocessing.get_context()
+            pid = os.fork
+            """,
+            path="src/repro/exec/node.py",
+            rules=["RPA007"],
+        )
+        assert findings == []
+
+    def test_threads_and_other_os_calls_pass(self):
+        findings = lint(
+            """\
+            import os
+            from concurrent.futures import ThreadPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
+            with ThreadPoolExecutor(2) as pool:
+                pids = list(pool.map(os.getpid, range(2)))
+            """,
+            path=EXEC_PATH,
+            rules=["RPA007"],
         )
         assert findings == []

@@ -184,14 +184,16 @@ class TestReplacementEntryPoints:
 
 
 class TestPublicSurface:
-    # The pre-descriptor entry points and the pipeline/counting wrappers;
-    # repro.api.Simplifier is the only way in.
+    # The pre-descriptor entry points and the pipeline/counting wrappers
+    # (repro.api.Simplifier is the only way in), and the process backend
+    # (node is the one cross-process backend).
     REMOVED = {
         "ALGORITHMS",
         "BufferedBatchAdapter",
         "CountingPointSource",
         "CountingSimplifier",
         "PipelineResult",
+        "ProcessBackend",
         "STREAMING_ALGORITHMS",
         "StreamingPipeline",
         "get_algorithm",
@@ -202,7 +204,7 @@ class TestPublicSurface:
     }
 
     @pytest.mark.parametrize(
-        "package", ["repro", "repro.api", "repro.algorithms", "repro.streaming"]
+        "package", ["repro", "repro.api", "repro.algorithms", "repro.exec", "repro.streaming"]
     )
     def test_exports_resolve_and_exclude_removed_names(self, package):
         module = importlib.import_module(package)

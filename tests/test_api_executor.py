@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro import FleetExecutionError, InvalidParameterError, Simplifier, evaluate_fleet
+from repro.exceptions import ExecutionError
 from repro.api import register_algorithm, unregister_algorithm
 from repro.datasets import generate_dataset
 
@@ -14,6 +17,13 @@ EPSILON = 40.0
 def _raise_value_error(trajectory, epsilon=0.0):
     """Module-level failing batch body (picklable, importable in workers)."""
     raise ValueError("deliberate failure")
+
+
+def _exit_on_long_input(trajectory, epsilon=0.0):
+    """Batch body that kills its worker process on trajectories over 3 fixes."""
+    if len(trajectory) > 3:
+        os._exit(1)
+    raise ValueError("only long inputs reach the worker-killing path")
 
 
 @pytest.fixture(scope="module")
@@ -41,10 +51,11 @@ class TestRunMany:
             Simplifier("operb", EPSILON).run_many(fleet, on_error="ignore")
 
     def test_parallel_matches_serial(self, fleet):
-        """The multiprocess backend must be a pure performance choice."""
+        """The node backend must be a pure performance choice."""
         session = Simplifier("operb-a", EPSILON)
         serial = session.run_many(fleet, workers=1)
         parallel = session.run_many(fleet, workers=3)
+        assert parallel.backend == "node"
         assert parallel.workers == 3
         for a, b in zip(serial.representations, parallel.representations):
             assert a.segments == b.segments
@@ -74,7 +85,7 @@ class TestEffectiveBackendReporting:
 
     def test_worker_count_clamped_to_fleet_size(self, fleet):
         result = Simplifier("operb", EPSILON).run_many(fleet, workers=100)
-        assert result.backend == "process"
+        assert result.backend == "node"
         assert result.workers == len(fleet)
 
     def test_explicit_thread_backend_reported(self, fleet):
@@ -109,6 +120,46 @@ class TestEffectiveBackendReporting:
         )
         assert result.n_failed == 2
         assert all(isinstance(e.exception, ValueError) for e in result.errors)
+
+
+class TestNodeFleets:
+    """``run_many`` on the node backend (what ``workers > 1`` resolves to)."""
+
+    @pytest.mark.parametrize("n_trajectories", [1, 2, 9, 17])
+    def test_outcomes_keep_input_order_at_chunk_boundaries(self, n_trajectories):
+        # Two workers take chunks of max(1, n // 8) trajectories: a lone
+        # trajectory (collapses to serial), one per worker, one past four
+        # chunks each, and chunks of two with a short last chunk.
+        fleet = generate_dataset(
+            "taxi", n_trajectories=n_trajectories, points_per_trajectory=60, seed=5
+        )
+        session = Simplifier("operb", EPSILON)
+        serial = session.run_many(fleet, workers=1)
+        result = session.run_many(fleet, workers=2, backend="node")
+        assert result.backend == ("serial" if n_trajectories == 1 else "node")
+        assert [r.segments for r in result.representations] == [
+            r.segments for r in serial.representations
+        ]
+
+    @pytest.fixture()
+    def worker_killer(self):
+        register_algorithm(
+            "unit-test-worker-killer", error_metric="none", summary="kills its worker"
+        )(_exit_on_long_input)
+        yield "unit-test-worker-killer"
+        unregister_algorithm("unit-test-worker-killer")
+
+    @pytest.mark.parametrize("on_error", ["raise", "collect"])
+    def test_task_that_kills_its_worker_raises_execution_error(
+        self, worker_killer, two_points, noisy_walk, on_error
+    ):
+        # A dead worker takes its whole pool down, so the failure cannot be
+        # isolated to one trajectory: the run raises, in either mode.
+        with pytest.raises(ExecutionError, match="worker died") as raised:
+            Simplifier(worker_killer).run_many(
+                [two_points, noisy_walk, two_points], workers=2, on_error=on_error
+            )
+        assert raised.value.__cause__ is not None
 
 
 class TestErrorIsolation:

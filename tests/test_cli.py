@@ -288,6 +288,17 @@ class TestServeReplayCommand:
             blocked_csv.read_text().splitlines()
         )
 
+    def test_process_backend_is_not_a_choice(self, capsys):
+        # node is the one cross-process backend; "process" is refused
+        # like any unknown name, before any worker starts.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve-replay", "--synthetic", "taxi", "--backend", "process"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'process'" in err
+        # Newer argparse prints the choices with str(), older with repr().
+        assert re.search(r"choose from '?serial'?, '?thread'?, '?node'?\)", err)
+
     def test_block_size_must_be_positive(self, point_log, capsys):
         code = main(["serve-replay", str(point_log), "--block-size", "0"])
         assert code == 1

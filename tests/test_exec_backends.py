@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import pickle
 from functools import partial
 
@@ -11,18 +12,17 @@ from repro.exceptions import ExecutionError, InvalidParameterError
 from repro.exec import (
     BACKEND_NAMES,
     NodeBackend,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     resolve_backend,
 )
 
-ALL_BACKENDS = [SerialBackend(), ThreadBackend(3), ProcessBackend(3), NodeBackend(3)]
+ALL_BACKENDS = [SerialBackend(), ThreadBackend(3), NodeBackend(3)]
 BACKEND_IDS = [backend.name for backend in ALL_BACKENDS]
 
 
 def _square_or_fail(x: int) -> int:
-    """Module-level task body (picklable for the process backend)."""
+    """Module-level task body (picklable for the node backend)."""
     if x == 3:
         raise ValueError(f"bad task {x}")
     return x * x
@@ -62,27 +62,35 @@ class TestResolveBackend:
     def test_names_resolve_to_matching_backends(self):
         assert resolve_backend("serial").name == "serial"
         assert resolve_backend("thread", workers=5).workers == 5
-        assert resolve_backend("process", workers=2).name == "process"
         node = resolve_backend("node", workers=3)
         assert node.name == "node"
         assert node.workers == 3
         assert isinstance(node, NodeBackend)
         assert "node" in BACKEND_NAMES
 
-    def test_auto_picks_serial_for_one_worker_else_process(self):
+    def test_auto_picks_serial_for_one_worker_else_node(self):
         assert resolve_backend("auto").name == "serial"
         assert resolve_backend("auto", workers=1).name == "serial"
-        assert resolve_backend("auto", workers=4).name == "process"
-        assert resolve_backend("auto", workers=4).workers == 4
+        auto = resolve_backend("auto", workers=4)
+        assert isinstance(auto, NodeBackend)
+        assert auto.workers == 4
 
     def test_backend_instances_pass_through(self):
         backend = ThreadBackend(2)
         assert resolve_backend(backend) is backend
 
     def test_concurrent_backends_default_workers_to_cpu_count(self):
-        import os
-
         assert resolve_backend("thread").workers == (os.cpu_count() or 2)
+
+    def test_backend_names_are_the_three_backends_and_auto(self):
+        assert BACKEND_NAMES == ("serial", "thread", "node", "auto")
+
+    def test_process_is_refused_like_any_unknown_name(self):
+        with pytest.raises(
+            InvalidParameterError,
+            match=r"unknown execution backend 'process'; available: serial, thread, node, auto",
+        ):
+            resolve_backend("process", workers=2)
 
     def test_unknown_names_and_types_rejected(self):
         with pytest.raises(InvalidParameterError, match="unknown execution backend"):
@@ -144,14 +152,15 @@ class TestMapIsolated:
             outcome = backend.map_isolated(_square_or_fail, [3])[0]
             assert isinstance(outcome.failure.exception, ValueError)
 
-    def test_process_backend_strips_the_exception_object(self):
-        outcome = ProcessBackend(2).map_isolated(_square_or_fail, [3])[0]
+    def test_node_backend_strips_the_exception_object(self):
+        outcome = NodeBackend(2).map_isolated(_square_or_fail, [3])[0]
         assert outcome.failure.exception is None
         assert outcome.failure.error_type == "ValueError"
+        assert "bad task 3" in outcome.failure.traceback
 
     def test_effective_workers_clamped_to_task_count(self):
         assert ThreadBackend(8).effective_workers(3) == 3
-        assert ProcessBackend(2).effective_workers(100) == 2
+        assert NodeBackend(2).effective_workers(100) == 2
         assert SerialBackend().effective_workers(100) == 1
 
 
@@ -218,8 +227,8 @@ class TestActorGroups:
         finally:
             group.close()
 
-    def test_process_backend_revives_repro_exceptions_by_name(self):
-        group = ProcessBackend(1).start_actors([partial(_make_accumulator, 0)])
+    def test_node_backend_revives_repro_exceptions_by_name(self):
+        group = NodeBackend(1).start_actors([partial(_make_accumulator, 0)])
         try:
             with pytest.raises(InvalidParameterError, match="revive me"):
                 group.ask(0, ("invalid-parameter",))
@@ -239,11 +248,11 @@ class TestActorGroups:
         finally:
             thread.close()
 
-        process = ProcessBackend(1).start_actors([partial(_make_accumulator, 3)])
+        node = NodeBackend(1).start_actors([partial(_make_accumulator, 3)])
         try:
-            assert process.local_handlers is None
+            assert node.local_handlers is None
         finally:
-            process.close()
+            node.close()
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS, ids=BACKEND_IDS)
     def test_closed_groups_reject_messages(self, backend):
@@ -264,8 +273,8 @@ class TestActorGroups:
 
     @pytest.mark.parametrize(
         "backend",
-        [ThreadBackend(1), ProcessBackend(1), NodeBackend(1)],
-        ids=["thread", "process", "node"],
+        [ThreadBackend(1), NodeBackend(1)],
+        ids=["thread", "node"],
     )
     def test_factory_failure_surfaces_without_deadlocking(self, backend):
         group = backend.start_actors([partial(_make_broken_handler, 1)])
@@ -280,8 +289,8 @@ class TestActorGroups:
             except ExecutionError:
                 pass
 
-    def test_dead_worker_process_fails_asks_instead_of_hanging(self):
-        group = ProcessBackend(1).start_actors([partial(_make_accumulator, 0)])
+    def test_terminated_worker_fails_asks_instead_of_hanging(self):
+        group = NodeBackend(1).start_actors([partial(_make_accumulator, 0)])
         try:
             group._processes[0].terminate()
             group._processes[0].join(timeout=10.0)
@@ -294,11 +303,11 @@ class TestActorGroups:
             except ExecutionError:
                 pass
 
-    def test_process_close_drains_buffered_events(self):
+    def test_node_close_drains_buffered_events(self):
         # close() without a prior barrier must still deliver every event the
         # workers emitted — segments buffered in the sockets are data.
         events: list[object] = []
-        group = ProcessBackend(4).start_actors(
+        group = NodeBackend(4).start_actors(
             [partial(_make_accumulator, 0)] * 4,
             on_event=lambda actor, event: events.append(event),
         )
@@ -309,7 +318,7 @@ class TestActorGroups:
         assert len(events) == 1200
 
     def test_unpicklable_ask_message_does_not_leak_pending_slots(self):
-        group = ProcessBackend(1).start_actors([partial(_make_accumulator, 0)])
+        group = NodeBackend(1).start_actors([partial(_make_accumulator, 0)])
         try:
             # Local functions fail to pickle with AttributeError; other
             # unpicklables raise PicklingError or TypeError.
@@ -321,7 +330,7 @@ class TestActorGroups:
             group.close()
 
     def test_unpicklable_reply_is_reported_not_fatal(self):
-        group = ProcessBackend(1).start_actors([partial(_make_accumulator, 0)])
+        group = NodeBackend(1).start_actors([partial(_make_accumulator, 0)])
         try:
             with pytest.raises(ExecutionError, match="not sendable"):
                 group.ask(0, ("unpicklable",))

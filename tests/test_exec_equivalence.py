@@ -1,4 +1,4 @@
-"""Backend equivalence: serial == thread == process == node, byte for byte.
+"""Backend equivalence: serial == thread == node, byte for byte.
 
 The execution runtime's whole contract is that a backend is a *pure
 performance choice*.  These hypothesis properties lock that in for both
@@ -11,7 +11,7 @@ consumers of :mod:`repro.exec`:
   under one backend restore under any other (and onto any shard count)
   with byte-identical continuations.
 
-Process workers are forked per example, so the examples are few and small —
+Node workers are forked per example, so the examples are few and small —
 the point is the equivalence relation, not coverage of the algorithms
 (their own suites do that).
 """
@@ -28,7 +28,7 @@ from repro.datasets import generate_dataset
 from repro.perf.workloads import build_device_log
 from repro.streaming import CollectingSink, StreamHub, restore_hub
 
-BACKENDS = ("serial", "thread", "process", "node")
+BACKENDS = ("serial", "thread", "node")
 
 EQUIVALENCE_SETTINGS = dict(
     deadline=None,
@@ -87,7 +87,7 @@ class TestRunManyEquivalence:
         session = Simplifier(algorithm, 40.0)
         reference = session.run_many(fleet, workers=1)
         assert reference.backend == "serial" and reference.workers == 1
-        for backend in ("thread", "process", "node"):
+        for backend in ("thread", "node"):
             result = session.run_many(fleet, workers=2, backend=backend)
             assert result.backend == backend
             assert result.workers == 2
@@ -112,7 +112,7 @@ class TestHubEquivalence:
             records, backend="serial", algorithm=algorithm
         )
         reference_json = json.dumps(reference_payload, sort_keys=True, allow_nan=False)
-        for backend in ("thread", "process", "node"):
+        for backend in ("thread", "node"):
             segments, payload = _run_hub(
                 records, backend=backend, workers=workers, algorithm=algorithm
             )

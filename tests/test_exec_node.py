@@ -4,8 +4,7 @@ The generic backend contract (map_isolated ordering, actor mailbox
 semantics, crash surfacing) is exercised for every backend in
 ``test_exec_backends.py`` and the byte-identity matrix in
 ``test_exec_equivalence.py``.  This module covers what only the socket
-transport has (the node backend's, on which the process backend's actors
-run too): the packet protocol and handshake validation, TCP_NODELAY, the
+transport has: the packet protocol and handshake validation, TCP_NODELAY, the
 zero-pickle ``push_frame`` hot path, heartbeat-based dead-worker
 detection, and the checkpoint-failover chaos drill the distributed story
 hinges on.
@@ -26,7 +25,7 @@ import pytest
 
 from repro import Point
 from repro.exceptions import ExecutionError, WireFormatError
-from repro.exec import NodeBackend, ProcessBackend
+from repro.exec import NodeBackend
 from repro.exec.actors import ActorGroup
 from repro.exec.node import (
     _NO_TOKEN,
@@ -249,16 +248,13 @@ class TestNodeActorGroup:
         finally:
             group.close()
 
-    @pytest.mark.parametrize(
-        "backend", [NodeBackend(1), ProcessBackend(1)], ids=["node", "process"]
-    )
-    def test_ask_after_an_emitting_tell_does_not_stall(self, backend):
+    def test_ask_after_an_emitting_tell_does_not_stall(self):
         # The hub's push-then-checkpoint pattern: the worker writes an
         # event and then the reply.  Without TCP_NODELAY, Nagle's algorithm
         # holds the reply behind the unacknowledged event until the
         # parent's delayed ACK fires (about 40 ms on Linux).
         events: list[object] = []
-        group = backend.start_actors(
+        group = NodeBackend(1).start_actors(
             [_make_recorder], on_event=lambda actor, event: events.append(event)
         )
         try:

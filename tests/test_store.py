@@ -257,12 +257,12 @@ class TestChunkCodec:
 
 
 class TestZoneMap:
-    def test_of_batch_covers_and_merge_widens(self):
-        a = ZoneMap.of_batch([seg(0.0, 50.0, x0=-5.0, y1=9.0)], 10.0)
+    def test_of_rows_covers_and_merge_widens(self):
+        a = ZoneMap.of_rows([(seg(0.0, 50.0, x0=-5.0, y1=9.0), 10.0)])
         assert a.t_min == 0.0 and a.t_max == 50.0
         assert a.x_min == -5.0 and a.y_max == 9.0
         assert a.segments == 1
-        b = ZoneMap.of_batch([seg(40.0, 90.0, x1=200.0)], 20.0)
+        b = ZoneMap.of_rows([(seg(40.0, 90.0, x1=200.0), 20.0)])
         merged = a.merge(b)
         assert (merged.t_min, merged.t_max) == (0.0, 90.0)
         assert merged.x_max == 200.0
@@ -271,7 +271,7 @@ class TestZoneMap:
         assert not merged.may_contain_epsilon(15.0)
 
     def test_interval_predicates(self):
-        zonemap = ZoneMap.of_batch([seg(10.0, 20.0, x0=0.0, y0=0.0, x1=5.0, y1=5.0)], 1.0)
+        zonemap = ZoneMap.of_rows([(seg(10.0, 20.0, x0=0.0, y0=0.0, x1=5.0, y1=5.0), 1.0)])
         assert zonemap.may_intersect_window((15.0, 30.0))
         assert zonemap.may_intersect_window((20.0, 20.0))  # closed bounds
         assert not zonemap.may_intersect_window((20.5, 30.0))
@@ -279,7 +279,7 @@ class TestZoneMap:
         assert not zonemap.may_intersect_bbox((6.0, 6.0, 9.0, 9.0))
 
     def test_dict_round_trip(self):
-        zonemap = ZoneMap.of_batch([seg(0.0, 50.0)], 10.0)
+        zonemap = ZoneMap.of_rows([(seg(0.0, 50.0), 10.0)])
         assert ZoneMap.from_dict(zonemap.to_dict()) == zonemap
 
     def test_bucket_of_handles_negative_times(self):

@@ -255,7 +255,7 @@ class TestRecoveryUnderContention:
         # the chunk is half-flushed.
         tail = [seg(50.0, 90.0, first=2, last=3)]
         encoded = encode_chunk(tail, 5.0)
-        write_zonemap(zm_path, read_zonemap(zm_path).merge(ZoneMap.of_batch(tail, 5.0)))
+        write_zonemap(zm_path, read_zonemap(zm_path).merge(ZoneMap.of_rows([(record, 5.0) for record in tail])))
         with open(path, "ab") as handle:
             handle.write(encoded[: len(encoded) // 2])
 
@@ -291,7 +291,7 @@ class TestRecoveryUnderContention:
 
         tail = [seg(50.0, 90.0, first=2, last=3)]
         encoded = encode_chunk(tail, 5.0)
-        write_zonemap(zm_path, read_zonemap(zm_path).merge(ZoneMap.of_batch(tail, 5.0)))
+        write_zonemap(zm_path, read_zonemap(zm_path).merge(ZoneMap.of_rows([(record, 5.0) for record in tail])))
         with open(path, "ab") as handle:
             handle.write(encoded[: len(encoded) // 2])
 
@@ -449,6 +449,38 @@ class TestCompaction:
         result = store.query(device="cab-1")
         assert [s.epsilon for s in result.segments] == [5.0, 25.0]
         assert len(store.query(epsilon=25.0).segments) == 1
+        store.close()
+
+    def test_mixed_epsilon_compaction_pins_the_sidecar(self, tmp_path):
+        # Appends and compaction build their sidecars with the same zone-map
+        # builder; the bytes are pinned so neither writer can drift.
+        store = open_store(tmp_path / "s", time_bucket=100.0)
+        store.append(
+            "cab-1",
+            [
+                seg(0.0, 10.0, x0=-3.5, y0=2.0, x1=40.25, y1=-7.0, last=4),
+                seg(10.0, 30.0, x0=40.25, y0=-7.0, x1=61.0, y1=0.1, first=4, last=9),
+            ],
+            epsilon=25.0,
+        )
+        store.append(
+            "cab-1", seg(30.0, 55.5, x0=61.0, y0=0.1, x1=12.0, y1=88.8, first=9, last=12),
+            epsilon=5.0,
+        )
+        store.append(
+            "cab-1", seg(55.5, 99.0, x0=12.0, y0=88.8, x1=-20.0, y1=3.0, first=12, last=20),
+            epsilon=12.5,
+        )
+        sidecar = zonemap_path(tmp_path / "s", "cab-1", 0)
+        pinned = (
+            '{\n  "chunks": %d,\n  "epsilons": [\n    5.0,\n    12.5,\n    25.0\n  ],\n'
+            '  "format": 1,\n  "points": 24,\n  "segments": 4,\n  "t_max": 99.0,\n'
+            '  "t_min": 0.0,\n  "total_length": 259.50489286923937,\n  "x_max": 61.0,\n'
+            '  "x_min": -20.0,\n  "y_max": 88.8,\n  "y_min": -7.0\n}\n'
+        )
+        assert sidecar.read_text() == pinned % 3
+        assert store.compact().partitions_compacted == 1
+        assert sidecar.read_text() == pinned % 1
         store.close()
 
     def test_crash_window_partition_is_dropped(self, tmp_path):

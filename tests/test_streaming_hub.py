@@ -405,9 +405,9 @@ class TestReshardRestore:
 
 
 class TestHubBackends:
-    """The hub on concurrent execution backends (threads / processes)."""
+    """The hub on concurrent execution backends (threads / node workers)."""
 
-    @pytest.fixture(params=["thread", "process"])
+    @pytest.fixture(params=["thread", "node"])
     def backend(self, request):
         return request.param
 
@@ -469,7 +469,7 @@ class TestHubBackends:
         assert error.error_type == "RuntimeError"
         assert "firmware" in error.message
         # Failures crossing a process boundary carry no exception object.
-        assert (error.exception is None) == (backend == "process")
+        assert (error.exception is None) == (backend == "node")
         bad_entry = next(e for e in payload["devices"] if e["device_id"] == "bad")
         assert bad_entry["failed"]["error_type"] == "RuntimeError"
         assert bad_entry["stats"]["dropped_points"] == 48
@@ -543,14 +543,14 @@ class TestHubBackends:
             key=lambda s: (s.start.x, s.start.y, s.start.t, s.first_index),
         )
 
-    def test_process_backend_restricts_device_object_access(self, device_point_log):
+    def test_node_backend_restricts_device_object_access(self, device_point_log):
         from repro import SimplificationError
 
         with StreamHub(
             algorithm="operb",
             epsilon=40.0,
             shards=4,
-            backend="process",
+            backend="node",
             workers=2,
         ) as hub:
             assert hub.register_device("dev-0000") is None
@@ -628,7 +628,7 @@ class TestHubBackends:
         # The partially-restored hub's workers were shut down, not leaked.
         assert len(multiprocessing.active_children()) <= baseline_children
 
-    @pytest.mark.parametrize("close_backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("close_backend", ["serial", "thread", "node"])
     def test_close_is_idempotent_and_final(self, close_backend):
         from repro.exceptions import ExecutionError
 
@@ -755,7 +755,7 @@ class TestHubBackends:
         assert entry["failed"] is None
         assert any("sink rejected" in error.message for error in hub.errors)
 
-    @pytest.mark.parametrize("sink_backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("sink_backend", ["serial", "thread", "node"])
     def test_raising_sink_is_isolated_not_fatal(self, sink_backend, device_point_log):
         class BrokenSink:
             def __init__(self):

@@ -409,7 +409,7 @@ class TestHubPyramidEquivalence:
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         algorithm=st.sampled_from(("operb", "operb-a", "dp-sed")),
-        backend=st.sampled_from(("serial", "thread", "process", "node")),
+        backend=st.sampled_from(("serial", "thread", "node")),
         block_size=st.sampled_from((1, 37, 512)),
     )
     def test_finest_level_matches_a_single_epsilon_hub(
