@@ -2,12 +2,17 @@
 
 A seeded taxi fleet (32 devices x 500 fixes) is simplified once, untimed,
 and its segments appended to a fresh store partitioned into eight time
-buckets.  Three store paths are then checked, the two reads each against
+buckets.  Four store paths are then checked, the three reads each against
 a reference that does the same job without the feature under test:
 
 - query: one device/time-window query per device over the centre quarter
   of the fleet's time range, against the same queries with
   ``full_scan=True`` (zone maps ignored);
+- scan: the same pruned queries against a row-at-a-time reference over
+  the same partitions, kept in this file (:meth:`Fleet.row_queries`):
+  every row decoded by :func:`decode_chunks_by_row`, filtered by
+  ``QuerySpec.matches`` and wrapped as a ``StoredSegment`` — the read
+  path before column masks and late materialisation;
 - aggregate: tumbling window aggregates whose one window covers every
   partition (fleet-wide and per device), against the same aggregates with
   ``pushdown=False`` (rows scanned instead of zone-map sidecars);
@@ -28,8 +33,11 @@ feature/reference ratio over back-to-back pairs stays under its bound in
 :data:`MAX_RATIO`, about 1.5x the medians measured on a shared 2-vCPU x86
 host under CPython 3.11.  It stands in for the store cells of the retired
 ``repro.perf`` baseline.  A slowdown shared by a feature and its reference
-(say, in decoding a partition file) cancels in these ratios; the
-fix-to-query benchmark's query latencies watch that.
+cancels in the query and aggregate ratios (both sides decode partition
+files the same way); the scan ratio's reference shares no decoding with
+the store, so it watches the column decoder, mask and materialisation
+themselves, and the fix-to-query benchmark's query latencies watch the
+whole read path.
 
 Skipped on constrained hosts (see ``_bench_utils.constrained_host``).
 """
@@ -37,15 +45,20 @@ Skipped on constrained hosts (see ``_bench_utils.constrained_host``).
 from __future__ import annotations
 
 import shutil
+import struct
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 
 from _bench_utils import constrained_host, median_ratio, timed
+from repro import Point, SegmentRecord
 from repro.api import Simplifier
 from repro.datasets import generate_dataset
-from repro.store import open_store
+from repro.store import QuerySpec, StoredSegment, open_store
+from repro.store.layout import DEVICES_DIR, encode_device_dir, partition_data_name
 
 ALGORITHMS = ("dp", "opw", "operb", "operb-a", "fbqs")
 TIMED_ALGORITHM = "operb"
@@ -58,9 +71,14 @@ PAIRS = 9
 MAX_RATIO = {
     "query": 0.75,
     "aggregate": 0.11,
+    "scan": 0.9,
 }
-"""Bound on the median feature/reference time ratio, per read shape
-(measured medians: query 0.50-0.53, aggregate 0.07)."""
+"""Bound on the median feature/reference time ratio, per read shape.  The
+query and aggregate bounds are about 1.5x the medians measured under the
+row-at-a-time decoder (query 0.50-0.53, aggregate 0.07); with column
+scans they read query 0.64 (0.54-0.68) and aggregate 0.044 (0.040-0.047)
+over nine probes.  The scan bound is 1.5x its median over nine probes
+(0.60; range 0.57-0.63)."""
 
 SCAN_FRACTION = {
     "dp": 100 / 256,
@@ -71,6 +89,39 @@ SCAN_FRACTION = {
 }
 """Share of the queried devices' partitions the window queries read: 256
 partitions, of which these many meet the window."""
+
+
+CHUNK_HEADER = struct.Struct("<4sII")
+"""Chunk header: magic, chunk version, row count (see ``repro.store.layout``)."""
+
+
+def decode_chunks_by_row(data: bytes) -> list[tuple[SegmentRecord, float]]:
+    """Every ``(record, epsilon)`` row of a partition file, decoded one row
+    at a time with each value read by numpy-scalar indexing: the store's
+    row decoder before column masks, kept here as the scan reference."""
+    rows = []
+    offset = 0
+    while offset < len(data):
+        _, _, n = CHUNK_HEADER.unpack_from(data, offset)
+        offset += CHUNK_HEADER.size
+        columns = []
+        for dtype in ("<f8",) * 6 + ("<i8",) * 4 + ("u1", "<f8"):
+            columns.append(np.frombuffer(data, dtype=dtype, count=n, offset=offset))
+            offset += n * np.dtype(dtype).itemsize
+        sx, sy, st, ex, ey, et, first, last, count, covered, flags, eps = columns
+        for i in range(n):
+            record = SegmentRecord(
+                start=Point(float(sx[i]), float(sy[i]), float(st[i])),
+                end=Point(float(ex[i]), float(ey[i]), float(et[i])),
+                first_index=int(first[i]),
+                last_index=int(last[i]),
+                point_count=int(count[i]),
+                covered_last_index=int(covered[i]),
+                patched_start=bool(flags[i] & 1),
+                patched_end=bool(flags[i] & 2),
+            )
+            rows.append((record, float(eps[i])))
+    return rows
 
 
 class Fleet:
@@ -116,6 +167,30 @@ class Fleet:
             store.query(device=device_id, window=self.window, full_scan=full_scan)
             for device_id in self.segments
         ]
+
+    def row_queries(self, store) -> list[list[StoredSegment]]:
+        """:meth:`queries` one row at a time, over the partitions the
+        pruned queries read: decode every row, test it, wrap it."""
+        admitted: dict[str, list] = {}
+        for key, zonemap in store.partitions():
+            if zonemap.may_intersect_window(self.window):
+                admitted.setdefault(key.device_id, []).append(key)
+        results = []
+        for device_id in self.segments:
+            spec = QuerySpec(device=device_id, window=self.window)
+            matched = []
+            for key in admitted.get(device_id, ()):
+                path = (
+                    store.root
+                    / DEVICES_DIR
+                    / encode_device_dir(device_id)
+                    / partition_data_name(key.bucket)
+                )
+                for record, epsilon in decode_chunks_by_row(path.read_bytes()):
+                    if spec.matches(device_id, epsilon, record):
+                        matched.append(StoredSegment(device_id, epsilon, record))
+            results.append(matched)
+        return results
 
     def aggregates(self, store, *, pushdown: bool = True) -> list:
         low, high = self.covering
@@ -170,4 +245,18 @@ def test_pushdown_aggregates_against_row_scans(fleet, workdir):
     assert ratio < MAX_RATIO["aggregate"], (
         f"pushdown aggregates took {ratio:.2f}x the row-scan time "
         f"(allowed {MAX_RATIO['aggregate']}x)"
+    )
+
+
+@constrained_host
+def test_column_scans_against_row_decoding(fleet, workdir):
+    with fleet.build(workdir / "timed-scan") as store:
+        ratio = median_ratio(
+            timed(lambda: fleet.queries(store)),
+            timed(lambda: fleet.row_queries(store)),
+            PAIRS,
+        )
+    assert ratio < MAX_RATIO["scan"], (
+        f"column-mask queries took {ratio:.2f}x the row-decoding time "
+        f"(allowed {MAX_RATIO['scan']}x)"
     )

@@ -39,11 +39,15 @@ from .layout import (
     partition_zonemap_name,
     write_zonemap,
 )
+from .query import QuerySpec, StoredSegment
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .store import Store
 
 __all__ = ["CompactionReport", "PartitionCompaction", "compact_partitions"]
+
+_EVERY_ROW = QuerySpec()
+"""The unconstrained spec compaction scans with: it rewrites every row."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,7 +159,9 @@ def compact_partitions(
             )
             if exact and state.chunks < min_chunks:
                 continue
-            rows = store._read_partition(key)
+            stored: list[StoredSegment] = []
+            store._scan_partition(key, _EVERY_ROW, stored)
+            rows = [(segment.record, segment.epsilon) for segment in stored]
             data_path = store._partition_path(key)
             zonemap_path = (
                 store.root

@@ -15,10 +15,12 @@ bucket ``floor(segment.start.t / time_bucket)`` of its device.  Each
 ``.seg`` file is append-only — every :meth:`repro.store.Store.append`
 call adds one self-describing *chunk* holding its segments column by
 column (start/end coordinates, index ranges, patch flags, epsilon), so a
-reader materialises contiguous float64 arrays per column instead of
-parsing rows.  Chunks are little-endian and fully determined by their
-payload: writing the same segments always produces the same bytes (the
-store sits inside the RPA003 determinism scope).
+reader maps each chunk as zero-copy numpy column views
+(:class:`ChunkColumns`), filters rows with vector predicates over them
+and builds Python objects only for the rows it keeps.  Chunks are
+little-endian and fully determined by their payload: writing the same
+segments always produces the same bytes (the store sits inside the
+RPA003 determinism scope).
 
 The zone map sidecar carries the partition's pruning metadata: the exact
 time range and bounding box of every segment in the file, the segment and
@@ -33,11 +35,12 @@ therefore always *sound* for data skipping.
 
 A crash mid-append can also leave a *torn tail*: a final chunk whose
 header or column payload never fully reached the disk.
-:func:`decode_chunks` raises :class:`TornChunkError` there — a
+:func:`decode_columns` raises :class:`TornChunkError` there — a
 :class:`~repro.exceptions.StoreError` carrying the byte offset where the
-committed prefix ends — and :func:`salvage_chunks` /
+committed prefix ends — and :func:`salvage_columns` /
 :func:`scan_partition_file` use that offset to recover the valid prefix
-instead of poisoning the whole partition.
+instead of poisoning the whole partition.  :func:`decode_chunks` and
+:func:`salvage_chunks` are their materialise-every-row forms.
 
 Device directory names are percent-encoded (prefixed ``d-`` so no device
 id can collide with a path component like ``..``); bucket indices may be
@@ -62,6 +65,7 @@ from ..trajectory.piecewise import SegmentRecord
 
 __all__ = [
     "CHUNK_VERSION",
+    "ChunkColumns",
     "LOCK_NAME",
     "MANIFEST_NAME",
     "STORE_FORMAT",
@@ -73,6 +77,7 @@ __all__ = [
     "bucket_of",
     "bucket_of_data_name",
     "decode_chunks",
+    "decode_columns",
     "decode_device_dir",
     "encode_chunk",
     "encode_chunk_rows",
@@ -82,6 +87,7 @@ __all__ = [
     "partition_zonemap_name",
     "read_zonemap",
     "salvage_chunks",
+    "salvage_columns",
     "scan_partition_file",
     "write_manifest",
     "write_zonemap",
@@ -530,13 +536,62 @@ def _chunk_extent(
     return n, end
 
 
-def decode_chunks(data: bytes, *, source: str = "<bytes>") -> Iterator[
-    list[tuple[SegmentRecord, float]]
-]:
-    """Decode a partition file into per-chunk ``(record, epsilon)`` rows.
+@dataclass(frozen=True, slots=True)
+class ChunkColumns:
+    """Zero-copy numpy views of one committed chunk's columns.
 
-    Chunks come back in file order, rows in append order — the partition's
-    canonical scan order.
+    ``coords`` is the ``(6, n)`` float64 block (start x/y/t, end x/y/t),
+    ``indices`` the ``(4, n)`` int64 block (first, last, point count,
+    covered last index); ``flags`` and ``epsilon`` are the per-row patch
+    flags and error bounds.  The views borrow the partition bytes they
+    were decoded from.  Predicates run over the columns; Python objects
+    are built only by :meth:`records` / :meth:`epsilons`, for the rows a
+    caller selects.
+    """
+
+    coords: np.ndarray
+    indices: np.ndarray
+    flags: np.ndarray
+    epsilon: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        """Number of rows in the chunk."""
+        return len(self.flags)
+
+    def records(self, selected: np.ndarray | None = None) -> list[SegmentRecord]:
+        """The ``selected`` rows (every row when None) as records, in order."""
+        coords, indices, flags = self.coords, self.indices, self.flags
+        if selected is not None:
+            coords = coords.take(selected, axis=1)
+            indices = indices.take(selected, axis=1)
+            flags = flags.take(selected)
+        start_x, start_y, start_t, end_x, end_y, end_t = coords.tolist()
+        first, last, count, covered = indices.tolist()
+        return [
+            SegmentRecord(
+                Point(sx, sy, st), Point(ex, ey, et), i, j, k, m,
+                bool(flag & _FLAG_PATCHED_START), bool(flag & _FLAG_PATCHED_END),
+            )
+            for sx, sy, st, ex, ey, et, i, j, k, m, flag in zip(
+                start_x, start_y, start_t, end_x, end_y, end_t,
+                first, last, count, covered, flags.tolist(),
+            )
+        ]
+
+    def epsilons(self, selected: np.ndarray | None = None) -> list[float]:
+        """The ``selected`` rows' epsilons (every row when None), in order."""
+        column = self.epsilon if selected is None else self.epsilon.take(selected)
+        values: list[float] = column.tolist()
+        return values
+
+    def rows_with_epsilon(self) -> list[tuple[SegmentRecord, float]]:
+        """Every row as a ``(record, epsilon)`` pair, in append order."""
+        return list(zip(self.records(), self.epsilons()))
+
+
+def decode_columns(data: bytes, *, source: str = "<bytes>") -> Iterator[ChunkColumns]:
+    """Map a partition file's chunks as column views, in file order.
 
     Raises
     ------
@@ -551,30 +606,57 @@ def decode_chunks(data: bytes, *, source: str = "<bytes>") -> Iterator[
     total = len(data)
     while offset < total:
         n, end = _chunk_extent(data, offset, total, source)
-        rows, _ = _decode_one_chunk(data, offset + _HEADER.size, n)
+        cursor = offset + _HEADER.size
+        coords = np.frombuffer(data, dtype="<f8", count=6 * n, offset=cursor)
+        cursor += 6 * n * 8
+        indices = np.frombuffer(data, dtype="<i8", count=4 * n, offset=cursor)
+        cursor += 4 * n * 8
+        flags = np.frombuffer(data, dtype="u1", count=n, offset=cursor)
+        epsilon = np.frombuffer(data, dtype="<f8", count=n, offset=cursor + n)
         offset = end
-        yield rows
+        yield ChunkColumns(coords.reshape(6, n), indices.reshape(4, n), flags, epsilon)
+
+
+def salvage_columns(
+    data: bytes, *, source: str = "<bytes>"
+) -> tuple[list[ChunkColumns], TornChunkError | None]:
+    """Column views of the valid chunk prefix of a (possibly torn) file.
+
+    Returns the fully-committed chunks in file order plus the
+    :class:`TornChunkError` describing the torn tail (``None`` when the
+    file decodes cleanly).  Unlike :func:`decode_columns` this never lets
+    a crash-torn tail poison the readable prefix; an unsupported chunk
+    *version* still raises, because future-format data must not be
+    silently dropped.
+    """
+    chunks: list[ChunkColumns] = []
+    try:
+        for columns in decode_columns(data, source=source):
+            chunks.append(columns)
+    except TornChunkError as error:
+        return chunks, error
+    return chunks, None
+
+
+def decode_chunks(data: bytes, *, source: str = "<bytes>") -> Iterator[
+    list[tuple[SegmentRecord, float]]
+]:
+    """Decode a partition file into per-chunk ``(record, epsilon)`` rows.
+
+    The materialise-every-row form of :func:`decode_columns`, with the
+    same errors.  Chunks come back in file order, rows in append order —
+    the partition's canonical scan order.
+    """
+    for columns in decode_columns(data, source=source):
+        yield columns.rows_with_epsilon()
 
 
 def salvage_chunks(
     data: bytes, *, source: str = "<bytes>"
 ) -> tuple[list[list[tuple[SegmentRecord, float]]], TornChunkError | None]:
-    """Decode the valid chunk prefix of a (possibly torn) partition file.
-
-    Returns the fully-committed chunks in file order plus the
-    :class:`TornChunkError` describing the torn tail (``None`` when the
-    file decodes cleanly).  Unlike :func:`decode_chunks` this never lets a
-    crash-torn tail poison the readable prefix; an unsupported chunk
-    *version* still raises, because future-format data must not be
-    silently dropped.
-    """
-    chunks: list[list[tuple[SegmentRecord, float]]] = []
-    try:
-        for rows in decode_chunks(data, source=source):
-            chunks.append(rows)
-    except TornChunkError as error:
-        return chunks, error
-    return chunks, None
+    """The materialise-every-row form of :func:`salvage_columns`."""
+    chunks, torn = salvage_columns(data, source=source)
+    return [columns.rows_with_epsilon() for columns in chunks], torn
 
 
 @dataclass(frozen=True, slots=True)
@@ -650,42 +732,3 @@ def scan_partition_file(path: Path) -> PartitionScan:
         segments=segments,
         torn=torn,
     )
-
-
-def _decode_one_chunk(
-    data: bytes, offset: int, n: int
-) -> tuple[list[tuple[SegmentRecord, float]], int]:
-    """Decode one chunk's column payload; returns the rows and the new offset."""
-
-    def column(dtype: str, width: int, cursor: int) -> tuple[np.ndarray, int]:
-        array = np.frombuffer(data, dtype=dtype, count=n, offset=cursor)
-        return array, cursor + n * width
-
-    cursor = offset
-    start_x, cursor = column("<f8", 8, cursor)
-    start_y, cursor = column("<f8", 8, cursor)
-    start_t, cursor = column("<f8", 8, cursor)
-    end_x, cursor = column("<f8", 8, cursor)
-    end_y, cursor = column("<f8", 8, cursor)
-    end_t, cursor = column("<f8", 8, cursor)
-    first, cursor = column("<i8", 8, cursor)
-    last, cursor = column("<i8", 8, cursor)
-    count, cursor = column("<i8", 8, cursor)
-    covered, cursor = column("<i8", 8, cursor)
-    flags, cursor = column("u1", 1, cursor)
-    eps, cursor = column("<f8", 8, cursor)
-
-    rows: list[tuple[SegmentRecord, float]] = []
-    for i in range(n):
-        record = SegmentRecord(
-            start=Point(float(start_x[i]), float(start_y[i]), float(start_t[i])),
-            end=Point(float(end_x[i]), float(end_y[i]), float(end_t[i])),
-            first_index=int(first[i]),
-            last_index=int(last[i]),
-            point_count=int(count[i]),
-            covered_last_index=int(covered[i]),
-            patched_start=bool(flags[i] & _FLAG_PATCHED_START),
-            patched_end=bool(flags[i] & _FLAG_PATCHED_END),
-        )
-        rows.append((record, float(eps[i])))
-    return rows, cursor

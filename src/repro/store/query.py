@@ -39,8 +39,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..exceptions import InvalidParameterError
+from ..geometry.point import slot_setters
 from ..trajectory.piecewise import SegmentRecord
+from .layout import ChunkColumns
 
 __all__ = [
     "AggregateResult",
@@ -157,13 +161,16 @@ class QuerySpec:
             and self.max_deviation is None
         )
 
-    def matches(self, device_id: str, epsilon: float, record: SegmentRecord) -> bool:
-        """Whether one stored segment satisfies every predicate."""
+    def _require_resolved(self) -> None:
         if self.level is not None or self.max_deviation is not None:
             raise InvalidParameterError(
                 "level/max_deviation are store-resolved selectors; resolve "
                 "the spec against the store's epsilon ladder before matching"
             )
+
+    def matches(self, device_id: str, epsilon: float, record: SegmentRecord) -> bool:
+        """Whether one stored segment satisfies every predicate."""
+        self._require_resolved()
         if self.device is not None and device_id != self.device:
             return False
         if self.epsilon is not None and epsilon != self.epsilon:
@@ -187,6 +194,36 @@ class QuerySpec:
                 return False
         return True
 
+    def mask(self, device_id: str, columns: ChunkColumns) -> np.ndarray:
+        """:meth:`matches` over every row of one chunk, as a boolean array.
+
+        Each predicate is one vector comparison over the chunk's columns,
+        with the same closed edges as :meth:`matches`; the two agree row
+        for row on the finite coordinates the store accepts.
+        """
+        self._require_resolved()
+        if self.device is not None and device_id != self.device:
+            return np.zeros(columns.rows, dtype=bool)
+        # Rows of the (6, n) block: start x/y/t, then end x/y/t.
+        coords = columns.coords
+        tests: list[np.ndarray] = []
+        if self.epsilon is not None:
+            tests.append(columns.epsilon == self.epsilon)
+        if self.window is not None:
+            tests.append(np.minimum(coords[2], coords[5]) <= self.window[1])
+            tests.append(np.maximum(coords[2], coords[5]) >= self.window[0])
+        if self.bbox is not None:
+            tests.append(np.minimum(coords[0], coords[3]) <= self.bbox[2])
+            tests.append(np.maximum(coords[0], coords[3]) >= self.bbox[0])
+            tests.append(np.minimum(coords[1], coords[4]) <= self.bbox[3])
+            tests.append(np.maximum(coords[1], coords[4]) >= self.bbox[1])
+        if not tests:
+            return np.ones(columns.rows, dtype=bool)
+        keep = tests[0]
+        for test in tests[1:]:
+            keep &= test
+        return keep
+
     def as_dict(self) -> dict[str, object]:
         """Plain-dict view (for the CLI's JSON output)."""
         return {
@@ -199,13 +236,19 @@ class QuerySpec:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class StoredSegment:
     """One segment as the store returns it: record plus provenance."""
 
     device_id: str
     epsilon: float
     record: SegmentRecord
+
+    def __init__(self, device_id: str, epsilon: float, record: SegmentRecord) -> None:
+        # Once per matched row of every query (see slot_setters).
+        _set_device_id(self, device_id)
+        _set_epsilon(self, epsilon)
+        _set_record(self, record)
 
     def to_dict(self) -> dict[str, object]:
         """JSON-serialisable view (used by the CLI and in tests for
@@ -215,6 +258,11 @@ class StoredSegment:
             "epsilon": self.epsilon,
             "segment": self.record.to_dict(),
         }
+
+
+_set_device_id, _set_epsilon, _set_record = slot_setters(
+    StoredSegment, "device_id", "epsilon", "record"
+)
 
 
 @dataclass(frozen=True, slots=True)

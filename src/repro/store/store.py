@@ -31,11 +31,15 @@ pre-crash commit point.
 
 Read path
 ---------
-``query`` walks the partitions in canonical order (device id, then
-bucket), consults each zone map against the spec's window/bbox/epsilon
-predicates, and reads only the partitions that may contain matches; the
-returned :class:`~repro.store.query.QueryResult` reports exactly how many
-partitions the zone maps let it skip.  ``full_scan=True`` bypasses the
+``query`` selects the device predicate's partitions, walks them in
+canonical order (device id, then bucket), consults each zone map against
+the spec's window/bbox/epsilon predicates, and reads only the partitions
+that may contain matches; the returned
+:class:`~repro.store.query.QueryResult` reports exactly how many
+partitions the zone maps let it skip.  A read maps each committed chunk
+as numpy column views, evaluates the spec as one boolean mask over them
+(:meth:`~repro.store.query.QuerySpec.mask`) and builds records only for
+the rows the mask keeps (late materialisation).  ``full_scan=True`` bypasses the
 pruning (every partition is read) and — by construction, same scan order,
 same row predicate — returns byte-identical results; the property tests
 lock that equivalence in.
@@ -63,8 +67,11 @@ import os
 import threading
 import weakref
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+
+import numpy as np
 
 from ..exceptions import InvalidParameterError, StoreError
 from ..trajectory.piecewise import SegmentRecord
@@ -84,7 +91,7 @@ from .layout import (
     partition_data_name,
     partition_zonemap_name,
     read_zonemap,
-    salvage_chunks,
+    salvage_columns,
     scan_partition_file,
     write_manifest,
     write_zonemap,
@@ -253,6 +260,7 @@ class Store:
         self._time_bucket = time_bucket
         self._zonemaps: dict[PartitionKey, ZoneMap] = {}
         self._states: dict[PartitionKey, _PartitionState] = {}
+        self._data_paths: dict[PartitionKey, Path] = {}
         self._mutex = threading.Lock()
         self._lock = StoreLock(root)
         if writer:
@@ -523,32 +531,23 @@ class Store:
             spec, device, window, bbox, epsilon, level, max_deviation
         )
         spec, matchable = self._resolve_levels(spec)
+        # Even a full scan stays within the device predicate's partitions:
+        # partitions_total counts those, and full_scan audits pruning, not
+        # device routing.
+        keys = self._device_keys(spec)
         matched: list[StoredSegment] = []
         partitions_scanned = 0
         segments_scanned = 0
         if matchable:
-            for key in sorted(self._zonemaps):
-                if not full_scan and not self._may_match(
-                    spec, key, self._zonemaps[key]
-                ):
+            for key in keys:
+                if not full_scan and not self._may_match(spec, self._zonemaps[key]):
                     continue
-                if full_scan and spec.device is not None and key.device_id != spec.device:
-                    # Even a full scan stays within the device predicate's
-                    # partitions: partitions_total counts those, and
-                    # full_scan audits pruning, not device routing.
-                    continue
-                rows = self._read_partition(key)
+                segments_scanned += self._scan_partition(key, spec, matched)
                 partitions_scanned += 1
-                segments_scanned += len(rows)
-                for record, record_epsilon in rows:
-                    if spec.matches(key.device_id, record_epsilon, record):
-                        matched.append(
-                            StoredSegment(key.device_id, record_epsilon, record)
-                        )
         return QueryResult(
             spec=spec,
             segments=tuple(matched),
-            partitions_total=self._partitions_total(spec),
+            partitions_total=len(keys),
             partitions_scanned=partitions_scanned,
             segments_scanned=segments_scanned,
             full_scan=full_scan,
@@ -596,13 +595,14 @@ class Store:
             spec, device, window, bbox, epsilon, level, max_deviation
         )
         spec, matchable = self._resolve_levels(spec)
+        keys = self._device_keys(spec)
 
         scan_keys: list[PartitionKey] = []
         push_keys: list[PartitionKey] = []
         if matchable:
-            for key in sorted(self._zonemaps):
+            for key in keys:
                 zonemap = self._zonemaps[key]
-                if not self._may_match(spec, key, zonemap):
+                if not self._may_match(spec, zonemap):
                     continue
                 if pushdown and self._pushdown_eligible(spec, key, zonemap):
                     push_keys.append(key)
@@ -610,22 +610,9 @@ class Store:
                     scan_keys.append(key)
 
         matched: list[StoredSegment] = []
-        partitions_scanned = 0
         segments_scanned = 0
-
-        def scan(key: PartitionKey) -> None:
-            nonlocal partitions_scanned, segments_scanned
-            rows = self._read_partition(key)
-            partitions_scanned += 1
-            segments_scanned += len(rows)
-            for record, record_epsilon in rows:
-                if spec.matches(key.device_id, record_epsilon, record):
-                    matched.append(
-                        StoredSegment(key.device_id, record_epsilon, record)
-                    )
-
         for key in scan_keys:
-            scan(key)
+            segments_scanned += self._scan_partition(key, spec, matched)
 
         def result(windows: tuple[WindowAggregate, ...]) -> AggregateResult:
             return AggregateResult(
@@ -633,8 +620,8 @@ class Store:
                 width=width,
                 step=step,
                 windows=windows,
-                partitions_total=self._partitions_total(spec),
-                partitions_scanned=partitions_scanned,
+                partitions_total=len(keys),
+                partitions_scanned=len(scan_keys),
                 partitions_pushdown=len(push_keys),
                 segments_scanned=segments_scanned,
                 pushdown=pushdown,
@@ -687,7 +674,8 @@ class Store:
             if covered:
                 final_push.append(key)
             else:
-                scan(key)
+                segments_scanned += self._scan_partition(key, spec, matched)
+                scan_keys.append(key)
         push_keys = final_push
 
         aggregates: list[WindowAggregate] = []
@@ -843,24 +831,26 @@ class Store:
         # still honour the requested deviation.
         return replace(spec, epsilon=qualifying[-1], max_deviation=None), True
 
-    def _partitions_total(self, spec: QuerySpec) -> int:
-        """Partitions the device predicate admits (the skipping baseline).
+    def _device_keys(self, spec: QuerySpec) -> list[PartitionKey]:
+        """Partitions the device predicate admits, in canonical scan order.
 
+        Their count is the skipping baseline (``partitions_total``).
         Counting only the queried device's partitions keeps
         ``scan_fraction`` meaningful: an unknown device (or an empty
         store) reports ``partitions_total == 0`` and scan fraction 0.0
         instead of crediting the query with skipping partitions it could
-        never have read.
+        never have read.  The device's keys are selected before sorting,
+        so a device query sorts its own handful, not the whole store.
         """
         if spec.device is None:
-            return len(self._zonemaps)
-        return sum(1 for key in self._zonemaps if key.device_id == spec.device)
+            return sorted(self._zonemaps)
+        device = spec.device
+        return sorted(key for key in self._zonemaps if key.device_id == device)
 
     @staticmethod
-    def _may_match(spec: QuerySpec, key: PartitionKey, zonemap: ZoneMap) -> bool:
-        """Zone-map admission: False only when no contained segment can match."""
-        if spec.device is not None and key.device_id != spec.device:
-            return False
+    def _may_match(spec: QuerySpec, zonemap: ZoneMap) -> bool:
+        """Zone-map admission of one of the device predicate's partitions:
+        False only when no contained segment can match."""
         if spec.window is not None and not zonemap.may_intersect_window(spec.window):
             return False
         if spec.bbox is not None and not zonemap.may_intersect_bbox(spec.bbox):
@@ -907,12 +897,17 @@ class Store:
         return True
 
     def _partition_path(self, key: PartitionKey) -> Path:
-        return (
-            self._root
-            / DEVICES_DIR
-            / encode_device_dir(key.device_id)
-            / partition_data_name(key.bucket)
-        )
+        # Memoised: every scan needs it, a key's path never changes, and
+        # the pathlib joins cost about as much as decoding a small partition.
+        path = self._data_paths.get(key)
+        if path is None:
+            path = self._data_paths[key] = (
+                self._root
+                / DEVICES_DIR
+                / encode_device_dir(key.device_id)
+                / partition_data_name(key.bucket)
+            )
+        return path
 
     def _zonemap_path(self, key: PartitionKey) -> Path:
         return (
@@ -1017,14 +1012,25 @@ class Store:
             partitions_scanned=len(scans), repairs=tuple(repairs)
         )
 
-    def _read_partition(self, key: PartitionKey) -> list[tuple[SegmentRecord, float]]:
+    def _scan_partition(
+        self, key: PartitionKey, spec: QuerySpec, matched: list[StoredSegment]
+    ) -> int:
+        """Append the partition's rows matching ``spec`` to ``matched``;
+        returns the committed rows scanned.
+
+        The one scan behind :meth:`query`, the row path of
+        :meth:`window_aggregates` and compaction (an unconstrained spec:
+        every row).  Each committed chunk is mapped as column views, the
+        spec filters it as one boolean mask, and records are built only
+        for the rows it keeps, in append order.
+        """
         path = self._partition_path(key)
         try:
             data = path.read_bytes()
         except FileNotFoundError:
             # Crash window: the covering zone map landed but the data
             # append never happened.  The partition is legitimately empty.
-            return []
+            return 0
         except OSError as error:
             raise StoreError(f"cannot read partition {key}: {error}") from error
         state = self._states.get(key)
@@ -1033,17 +1039,34 @@ class Store:
             # (another writer holds the lock): clamp to the committed
             # prefix so the read observes exactly the recovered rows.
             data = data[: state.valid_bytes]
-        rows: list[tuple[SegmentRecord, float]] = []
         # Salvage rather than decode: the file is re-read on every query,
         # so even after a clean open a concurrent writer's half-flushed
         # chunk can become visible mid-read.  Clamping to the committed
         # chunk prefix keeps the documented contract — readers see every
         # fully appended chunk, never a torn byte — instead of turning
-        # the race into a query-failing StoreError.
-        chunks, _ = salvage_chunks(data, source=str(path))
-        for chunk in chunks:
-            rows.extend(chunk)
-        return rows
+        # the race into a query-failing StoreError.  A future chunk
+        # version still raises.
+        chunks, _ = salvage_columns(data, source=str(path))
+        device = key.device_id
+        scanned = 0
+        for columns in chunks:
+            scanned += columns.rows
+            selected: np.ndarray | None = None
+            if not spec.unconstrained:
+                selected = spec.mask(device, columns).nonzero()[0]
+                if not len(selected):
+                    continue
+                if len(selected) == columns.rows:
+                    selected = None
+            matched.extend(
+                map(
+                    StoredSegment,
+                    repeat(device),
+                    columns.epsilons(selected),
+                    columns.records(selected),
+                )
+            )
+        return scanned
 
     def _load_zonemaps(self) -> None:
         devices_root = self._root / DEVICES_DIR

@@ -104,6 +104,17 @@ class TestStoreGuard:
         assert [r.segments for r in pruned] == [r.segments for r in full]
 
     @pytest.mark.parametrize("algorithm", bench_store.ALGORITHMS)
+    def test_row_reference_returns_what_queries_return(
+        self, store_fleets, tmp_path, algorithm
+    ):
+        fleet = store_fleets[algorithm]
+        with fleet.build(tmp_path / "store", batch=bench_store.COMPACT_BATCH) as store:
+            queried = fleet.queries(store)
+            reference = fleet.row_queries(store)
+        assert [list(result.segments) for result in queried] == reference
+        assert sum(len(segments) for segments in reference) > 0
+
+    @pytest.mark.parametrize("algorithm", bench_store.ALGORITHMS)
     def test_compaction_keeps_answers_and_pruning(self, store_fleets, tmp_path, algorithm):
         fleet = store_fleets[algorithm]
         with fleet.build(tmp_path / "store", batch=bench_store.COMPACT_BATCH) as store:

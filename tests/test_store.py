@@ -31,8 +31,10 @@ from repro.store import (
 from repro.store.layout import (
     bucket_of,
     decode_chunks,
+    decode_columns,
     decode_device_dir,
     encode_chunk,
+    encode_chunk_rows,
     encode_device_dir,
 )
 from repro.streaming import StreamHub
@@ -313,6 +315,44 @@ class TestQuerySpec:
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(InvalidParameterError):
             QuerySpec(**kwargs)
+
+    def test_mask_agrees_with_matches_on_inclusive_edges(self):
+        # A segment reversed on every axis, one touching its neighbour's
+        # end, and one elsewhere: each window/bbox edge below equals an
+        # endpoint coordinate, and both edges are inclusive.
+        rows = [
+            (seg(50.0, 20.0, x0=30.0, y0=40.0, x1=10.0, y1=5.0), 5.0),
+            (seg(50.0, 80.0, x0=30.0, y0=40.0, x1=60.0, y1=70.0), 20.0),
+            (seg(90.0, 95.0, x0=100.0, y0=100.0, x1=110.0, y1=120.0), 5.0),
+        ]
+        (columns,) = decode_columns(encode_chunk_rows(rows))
+        specs = [
+            QuerySpec(),
+            QuerySpec(device="cab-1"),
+            QuerySpec(device="cab-2"),
+            QuerySpec(epsilon=5.0),
+            QuerySpec(window=(0.0, 20.0)),
+            QuerySpec(window=(50.0, 50.0)),
+            QuerySpec(window=(80.0, 90.0)),
+            QuerySpec(window=(95.0, 200.0)),
+            QuerySpec(window=(20.1, 49.9)),
+            QuerySpec(bbox=(0.0, 0.0, 10.0, 5.0)),
+            QuerySpec(bbox=(60.0, 70.0, 100.0, 100.0)),
+            QuerySpec(bbox=(110.0, 120.0, 200.0, 200.0)),
+            QuerySpec(bbox=(30.0, 40.0, 30.0, 40.0), epsilon=20.0),
+            QuerySpec(device="cab-1", window=(20.0, 50.0), bbox=(10.0, 5.0, 30.0, 40.0)),
+        ]
+        for spec in specs:
+            expected = [spec.matches("cab-1", eps, record) for record, eps in rows]
+            assert spec.mask("cab-1", columns).tolist() == expected, spec
+        assert QuerySpec(window=(20.0, 20.0)).mask("cab-1", columns).tolist() == [
+            True, False, False,
+        ]
+
+    def test_mask_refuses_unresolved_selectors(self):
+        (columns,) = decode_columns(encode_chunk_rows([(seg(0.0, 1.0), 5.0)]))
+        with pytest.raises(InvalidParameterError, match="store-resolved"):
+            QuerySpec(level=0).mask("cab-1", columns)
 
     def test_spec_and_kwargs_are_exclusive(self, store):
         with pytest.raises(InvalidParameterError, match="not both"):

@@ -19,6 +19,11 @@ Five properties carry the store's correctness story:
 5. **Pushdown equivalence** — sidecar-served window aggregates equal the
    row-scan path for arbitrary specs and window grids (``total_length``
    up to float summation order).
+
+The store filters rows with :meth:`QuerySpec.mask` over chunk columns;
+a sixth property pins that mask to :meth:`QuerySpec.matches` row by row,
+with window and bbox edges placed exactly on stored endpoints.  Segments
+are drawn in either direction on every axis (``end.t < start.t`` too).
 """
 
 from __future__ import annotations
@@ -33,7 +38,9 @@ from repro import Point, SegmentRecord
 from repro.store import QuerySpec, open_store
 from repro.store.layout import (
     DEVICES_DIR,
+    decode_columns,
     encode_chunk,
+    encode_chunk_rows,
     encode_device_dir,
     partition_data_name,
 )
@@ -55,7 +62,7 @@ def segment_records(draw):
     t0 = draw(times)
     return SegmentRecord(
         start=Point(draw(coords), draw(coords), t0),
-        end=Point(draw(coords), draw(coords), t0 + draw(st.floats(0.0, 300.0))),
+        end=Point(draw(coords), draw(coords), t0 + draw(st.floats(-300.0, 300.0))),
         first_index=0,
         last_index=1,
         point_count=2,
@@ -89,6 +96,32 @@ def query_specs(draw):
         bbox = (x0, y0, x0 + draw(st.floats(0.0, 5000.0)), y0 + draw(st.floats(0.0, 5000.0)))
     epsilon = draw(st.none() | st.sampled_from((5.0, 20.0)))
     return QuerySpec(device=device, window=window, bbox=bbox, epsilon=epsilon)
+
+
+@st.composite
+def edge_query_specs(draw, records):
+    """Specs whose window and bbox edges sit exactly on stored endpoint
+    coordinates (both edges are inclusive), or ``query_specs()`` ones."""
+    if not records or draw(st.booleans()):
+        return draw(query_specs())
+    ts = [value for record in records for value in (record.start.t, record.end.t)]
+    xs = [value for record in records for value in (record.start.x, record.end.x)]
+    ys = [value for record in records for value in (record.start.y, record.end.y)]
+
+    def edges(values):
+        return tuple(sorted(draw(st.sampled_from(values)) for _ in range(2)))
+
+    window = edges(ts) if draw(st.booleans()) else None
+    bbox = None
+    if draw(st.booleans()):
+        (x0, x1), (y0, y1) = edges(xs), edges(ys)
+        bbox = (x0, y0, x1, y1)
+    return QuerySpec(
+        device=draw(st.none() | st.sampled_from(DEVICES)),
+        window=window,
+        bbox=bbox,
+        epsilon=draw(st.none() | st.sampled_from((5.0, 20.0))),
+    )
 
 
 def reference_rows(batches):
@@ -306,3 +339,20 @@ class TestStoreProperties:
                 rel_tol=1e-9,
                 abs_tol=1e-6,
             )
+
+    @settings(**COMMON_SETTINGS)
+    @given(
+        rows=st.lists(
+            st.tuples(segment_records(), st.sampled_from((5.0, 20.0))), max_size=8
+        ),
+        device=st.sampled_from(DEVICES),
+        data=st.data(),
+    )
+    def test_mask_agrees_with_matches_row_by_row(self, rows, device, data):
+        spec = data.draw(edge_query_specs([record for record, _ in rows]))
+        (columns,) = decode_columns(encode_chunk_rows(rows))
+        mask = spec.mask(device, columns)
+        assert mask.dtype == bool and mask.shape == (len(rows),)
+        assert mask.tolist() == [
+            spec.matches(device, epsilon, record) for record, epsilon in rows
+        ]

@@ -23,6 +23,7 @@ from repro import InvalidParameterError, Point, SegmentRecord
 from repro.exceptions import StoreError
 from repro.store import PartitionKey, StoreLock, open_store
 from repro.store.layout import (
+    CHUNK_VERSION,
     DEVICES_DIR,
     LOCK_NAME,
     MANIFEST_NAME,
@@ -327,6 +328,26 @@ class TestRecoveryUnderContention:
             handle.write(b"\x99" * 7)  # a concurrent writer's torn bytes
         assert len(reader.query(device="cab-1").segments) == 2
         writer.close()
+
+    def test_query_raises_on_a_future_chunk_version_appended_after_open(
+        self, tmp_path
+    ):
+        # Reads salvage a torn tail away, but a chunk from a newer format is
+        # valid data this build cannot read: it must fail the query, not
+        # vanish from it.
+        store = open_store(tmp_path / "s", time_bucket=100.0)
+        store.append("cab-1", [seg(0.0, 40.0), seg(50.0, 90.0)], epsilon=5.0)
+        assert store.recovery.damaged == 0
+        future = bytearray(encode_chunk([seg(60.0, 95.0)], 5.0))
+        future[4:8] = (CHUNK_VERSION + 1).to_bytes(4, "little")
+        with open(partition_path(store.root, "cab-1", 0), "ab") as handle:
+            handle.write(bytes(future))
+        with pytest.raises(StoreError, match="unsupported chunk version"):
+            store.query(device="cab-1")
+        with pytest.raises(StoreError, match="unsupported chunk version"):
+            store.window_aggregates(width=100.0, pushdown=False)
+        with pytest.raises(StoreError, match="unsupported chunk version"):
+            store.window_aggregates(width=10.0, window=(0.0, 100.0))
 
     def test_recovery_report_serialises(self, tmp_path):
         store = open_store(tmp_path / "s", time_bucket=100.0)
